@@ -52,7 +52,8 @@ _VIEW_AXES = {
 class OrientedBox:
     """A 3D box: center position, extents, and rotation about the z axis.
 
-    Sizes must be strictly positive and finite; the rotation angle is
+    Sizes must be strictly positive and finite, and so must their product
+    (the volume, which every IoU divides by); the rotation angle is
     canonicalized into [0, 360) degrees on construction.
     """
 
@@ -69,6 +70,8 @@ class OrientedBox:
             raise ValueError("box coordinates must be finite")
         if not all(c > 0 for c in size):
             raise ValueError(f"box size components must be positive, got {size}")
+        if not math.isfinite(size[0] * size[1] * size[2]):
+            raise ValueError("box volume must be finite")
         rotation = float(self.rotation_deg)
         if not math.isfinite(rotation):
             raise ValueError("rotation must be finite")

@@ -54,8 +54,12 @@ def _solve_min_cost(cost: np.ndarray) -> list[int]:
     """O(n^3) Kuhn-Munkres on a square cost matrix; returns column per row.
 
     Deterministic: scanning order is fixed, so among equal-cost assignments
-    the one reached first by in-order augmentation is returned.
+    the one reached first by in-order augmentation is returned. Raises
+    ValueError on a NaN or infinite cost, which would never let the
+    augmenting-path search terminate.
     """
+    if not np.isfinite(cost).all():
+        raise ValueError("assignment costs must be finite")
     n = cost.shape[0]
     INF = float("inf")
     u = [0.0] * (n + 1)

@@ -21,10 +21,11 @@ spans. Emission is deterministic and round-trips exactly:
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
+from typing import Callable
 
 from . import geometry, ryaml
 from .catalog import ParamValue, PrimitiveCatalog, validate_params
@@ -102,14 +103,14 @@ class ParseResult:
 
 
 # ---------------------------------------------------------------------------
-# Number formatting shared by both emitters.
+# Number formatting shared by both emitters (the digits come from ryaml).
 
 
 def format_box_number(value: float) -> str:
     """Minimal-digit rendering of a pose/size coordinate (always float-valued)."""
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
-    return _positional(value)
+    return ryaml.format_positional(value)
 
 
 def format_param_value(value: ParamValue, *, quote) -> str:
@@ -119,16 +120,8 @@ def format_param_value(value: ParamValue, *, quote) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
-            return f"{value:.1f}"
-        return _positional(value)
+        return ryaml.format_float(value)
     return quote(value)
-
-
-def _positional(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError("non-finite numbers cannot be emitted")
-    return format(Decimal(repr(value)), "f")
 
 
 def _quote_py(text: str) -> str:
@@ -153,103 +146,94 @@ _TOKEN_OP = "op"
 _TOKEN_NEWLINE = "newline"
 _TOKEN_EOF = "eof"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)")
+# One alternative per token kind, tried in order at each position. A string
+# may hold the escapes \" and \\ and otherwise literal backslashes; the
+# lookahead keeps a backslash before a quote from matching alone, so the
+# regex cannot backtrack into a closing quote that an escape consumed.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>[ \t\r]+|#[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<op>[=(),])"
+    r'|(?P<string>"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*")'
+    rf"|(?P<number>{ryaml.NUMBER_PATTERN})"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<mismatch>.)"
+)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+_NEWLINE_RE = re.compile(r"\n")
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
+#: A token is a plain tuple (kind, text, offset, length). The text of a
+#: string token is its unescaped value; its length covers the quotes.
+_Token = tuple[str, str, int, int]
 
 
 class _SyntaxError(Exception):
-    def __init__(self, message: str, span: SourceSpan):
+    def __init__(self, message: str, token: _Token):
         super().__init__(message)
         self.message = message
-        self.span = span
+        self.token = token
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens of `text`, ending with one EOF token.
+
+    Blank and comment-only lines yield no newline token. Input that does
+    not end in a newline still gets a newline token after its last token,
+    at offset len(text).
+    """
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    length = len(text)
+    append = tokens.append
     line_has_tokens = False
-
-    def emit_newline(span: SourceSpan) -> None:
-        nonlocal line_has_tokens
-        if line_has_tokens:
-            tokens.append(_Token(_TOKEN_NEWLINE, "\n", span))
-            line_has_tokens = False
-
-    while i < length:
-        ch = text[i]
-        if ch == "\n":
-            emit_newline(SourceSpan(line, col, i))
-            i += 1
-            line += 1
-            col = 1
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "skip":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == _TOKEN_NEWLINE:
+            if line_has_tokens:
+                append((kind, "\n", match.start(), 1))
+                line_has_tokens = False
             continue
-        if ch == "#":
-            while i < length and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        span = SourceSpan(line, col, i)
-        if ch in "=(),":
-            tokens.append(_Token(_TOKEN_OP, ch, span))
-            i += 1
-            col += 1
-            line_has_tokens = True
-            continue
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            while j < length and text[j] not in ('"', "\n"):
-                if text[j] == "\\" and j + 1 < length and text[j + 1] in ('"', "\\"):
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= length or text[j] != '"':
-                raise _SyntaxError("unterminated string literal", span)
-            tokens.append(
-                _Token(_TOKEN_STRING, "".join(buf), SourceSpan(line, col, i, j + 1 - i))
-            )
-            col += j + 1 - i
-            i = j + 1
-            line_has_tokens = True
-            continue
-        match = _NUMBER_RE.match(text, i)
-        if match and (ch.isdigit() or ch in "+-." ):
-            token_text = match.group(0)
-            tokens.append(
-                _Token(_TOKEN_NUMBER, token_text, SourceSpan(line, col, i, len(token_text)))
-            )
-            i = match.end()
-            col += len(token_text)
-            line_has_tokens = True
-            continue
-        match = _NAME_RE.match(text, i)
-        if match:
-            token_text = match.group(0)
-            tokens.append(
-                _Token(_TOKEN_NAME, token_text, SourceSpan(line, col, i, len(token_text)))
-            )
-            i = match.end()
-            col += len(token_text)
-            line_has_tokens = True
-            continue
-        raise _SyntaxError(f"unexpected character {ch!r}", span)
-    emit_newline(SourceSpan(line, col, min(i, max(0, length - 1))))
-    tokens.append(_Token(_TOKEN_EOF, "", SourceSpan(line, col, length, 0)))
+        token_text = match.group()
+        start = match.start()
+        if kind == "mismatch":
+            token = (kind, token_text, start, 1)
+            if token_text == '"':
+                raise _SyntaxError("unterminated string literal", token)
+            raise _SyntaxError(f"unexpected character {token_text!r}", token)
+        if kind == _TOKEN_STRING:
+            value = token_text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(r"\1", value)
+            append((kind, value, start, len(token_text)))
+        else:
+            append((kind, token_text, start, len(token_text)))
+        line_has_tokens = True
+    end = len(text)
+    if line_has_tokens:
+        append((_TOKEN_NEWLINE, "\n", end, 1))
+    append((_TOKEN_EOF, "", end, 0))
     return tokens
+
+
+class _LineIndex:
+    """Source spans for tokens; the newline table is built on first use."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self._line_starts: list[int] | None = None
+
+    def span(self, token: _Token) -> SourceSpan:
+        _, _, offset, length = token
+        if self._line_starts is None:
+            self._line_starts = [0] + [m.end() for m in _NEWLINE_RE.finditer(self.text)]
+        line = bisect.bisect_right(self._line_starts, offset)
+        column = offset - self._line_starts[line - 1] + 1
+        if length and offset == len(self.text):
+            # The newline token closing input that lacks a final newline:
+            # its line and column lie past the last character, its offset
+            # on that character.
+            offset -= 1
+        return SourceSpan(line, column, offset, length)
 
 
 class _PyParser:
@@ -264,71 +248,79 @@ class _PyParser:
 
     def advance(self) -> _Token:
         token = self.tokens[self.pos]
-        if token.kind != _TOKEN_EOF:
+        if token[0] != _TOKEN_EOF:
             self.pos += 1
         return token
 
+    def accept_op(self, op: str) -> bool:
+        """Consume `op` when it is the next token; report whether it was."""
+        token = self.tokens[self.pos]
+        if token[0] == _TOKEN_OP and token[1] == op:
+            self.pos += 1
+            return True
+        return False
+
     def expect_op(self, op: str) -> _Token:
-        token = self.peek()
-        if token.kind != _TOKEN_OP or token.text != op:
-            raise _SyntaxError(f"expected {op!r}", token.span)
-        return self.advance()
+        token = self.tokens[self.pos]
+        if token[0] != _TOKEN_OP or token[1] != op:
+            raise _SyntaxError(f"expected {op!r}", token)
+        self.pos += 1
+        return token
 
     def expect_name(self, what: str = "identifier") -> _Token:
-        token = self.peek()
-        if token.kind != _TOKEN_NAME:
-            raise _SyntaxError(f"expected {what}", token.span)
-        return self.advance()
+        token = self.tokens[self.pos]
+        if token[0] != _TOKEN_NAME:
+            raise _SyntaxError(f"expected {what}", token)
+        self.pos += 1
+        return token
 
     def expect_newline(self) -> None:
-        token = self.peek()
-        if token.kind == _TOKEN_EOF:
+        token = self.tokens[self.pos]
+        if token[0] == _TOKEN_EOF:
             return
-        if token.kind != _TOKEN_NEWLINE:
-            raise _SyntaxError("expected end of statement", token.span)
-        self.advance()
+        if token[0] != _TOKEN_NEWLINE:
+            raise _SyntaxError("expected end of statement", token)
+        self.pos += 1
 
     def skip_to_newline(self) -> None:
-        while self.peek().kind not in (_TOKEN_NEWLINE, _TOKEN_EOF):
+        while self.peek()[0] not in (_TOKEN_NEWLINE, _TOKEN_EOF):
             self.advance()
-        if self.peek().kind == _TOKEN_NEWLINE:
+        if self.peek()[0] == _TOKEN_NEWLINE:
             self.advance()
 
     def at_eof(self) -> bool:
-        return self.peek().kind == _TOKEN_EOF
+        return self.tokens[self.pos][0] == _TOKEN_EOF
 
-    def number(self, what: str) -> tuple[float | int, SourceSpan]:
-        token = self.peek()
-        if token.kind != _TOKEN_NUMBER:
-            raise _SyntaxError(f"expected a number for {what}", token.span)
-        self.advance()
-        if "." in token.text:
-            return float(token.text), token.span
-        return int(token.text), token.span
+    def number(self, what: str) -> tuple[float | int, _Token]:
+        token = self.tokens[self.pos]
+        if token[0] != _TOKEN_NUMBER:
+            raise _SyntaxError(f"expected a number for {what}", token)
+        self.pos += 1
+        return _number_value(token), token
 
-    def vector3(self, what: str) -> tuple[tuple[float, float, float], SourceSpan]:
+    def vector3(self, what: str) -> tuple[tuple[float, float, float], _Token]:
         open_token = self.expect_op("(")
         values: list[float] = []
         while True:
             value, _ = self.number(what)
             values.append(_to_float(value))
-            token = self.peek()
-            if token.kind == _TOKEN_OP and token.text == ",":
-                self.advance()
-                continue
-            break
+            if not self.accept_op(","):
+                break
         close = self.expect_op(")")
         if len(values) != 3:
+            offset = open_token[2]  # the span covers "(" through ")"
             raise _SyntaxError(
                 f"{what} must have exactly 3 components, got {len(values)}",
-                SourceSpan(
-                    open_token.span.line,
-                    open_token.span.column,
-                    open_token.span.offset,
-                    close.span.offset - open_token.span.offset + 1,
-                ),
+                (_TOKEN_OP, "(", offset, close[2] - offset + 1),
             )
-        return (values[0], values[1], values[2]), open_token.span
+        return (values[0], values[1], values[2]), open_token
+
+
+def _number_value(token: _Token) -> float | int:
+    try:
+        return ryaml.read_number(token[1])
+    except ValueError as exc:
+        raise _SyntaxError(str(exc), token) from None
 
 
 def parse_python(text: str | bytes, catalog: PrimitiveCatalog, strict: bool = False) -> ParseResult:
@@ -336,19 +328,19 @@ def parse_python(text: str | bytes, catalog: PrimitiveCatalog, strict: bool = Fa
     decoded, diags = _decode(text)
     if decoded is None:
         return ParseResult(None, diags)
+    lines = _LineIndex(decoded)
     try:
-        tokens = _tokenize(decoded)
+        parser = _PyParser(_tokenize(decoded))
     except _SyntaxError as exc:
-        diags.append(error("syntax", exc.message, exc.span))
+        diags.append(error("syntax", exc.message, lines.span(exc.token)))
         return ParseResult(None, diags)
 
-    parser = _PyParser(tokens)
     instances: list[PrimitiveInstance] = []
     while not parser.at_eof():
         try:
-            instance = _parse_primitive(parser, catalog, strict, diags)
+            instance = _parse_primitive(parser, lines, catalog, strict, diags)
         except _SyntaxError as exc:
-            diags.append(error("syntax", exc.message, exc.span))
+            diags.append(error("syntax", exc.message, lines.span(exc.token)))
             parser.skip_to_newline()
             continue
         if instance is not None:
@@ -363,6 +355,7 @@ def parse_python(text: str | bytes, catalog: PrimitiveCatalog, strict: bool = Fa
 
 def _parse_primitive(
     parser: _PyParser,
+    lines: _LineIndex,
     catalog: PrimitiveCatalog,
     strict: bool,
     diags: list[Diagnostic],
@@ -371,33 +364,30 @@ def _parse_primitive(
     box_var = parser.expect_name("box variable name")
     parser.expect_op("=")
     ctor = parser.expect_name("Box constructor")
-    if ctor.text != "Box":
-        raise _SyntaxError(f"expected Box constructor, got {ctor.text!r}", ctor.span)
+    if ctor[1] != "Box":
+        raise _SyntaxError(f"expected Box constructor, got {ctor[1]!r}", ctor)
     parser.expect_op("(")
     fields: dict[str, tuple] = {}
-    first_span = ctor.span
     while True:
         key = parser.expect_name("Box argument name")
         parser.expect_op("=")
-        if key.text in ("position", "size"):
-            value = parser.vector3(key.text)
-        elif key.text == "rotation":
+        name = key[1]
+        if name in ("position", "size"):
+            value = parser.vector3(name)
+        elif name == "rotation":
             value = parser.number("rotation")
         else:
-            raise _SyntaxError(f"unknown Box argument {key.text!r}", key.span)
-        if key.text in fields:
-            raise _SyntaxError(f"duplicate Box argument {key.text!r}", key.span)
-        fields[key.text] = value
-        token = parser.peek()
-        if token.kind == _TOKEN_OP and token.text == ",":
-            parser.advance()
-            continue
-        break
+            raise _SyntaxError(f"unknown Box argument {name!r}", key)
+        if name in fields:
+            raise _SyntaxError(f"duplicate Box argument {name!r}", key)
+        fields[name] = value
+        if not parser.accept_op(","):
+            break
     parser.expect_op(")")
     parser.expect_newline()
     for required in ("position", "size", "rotation"):
         if required not in fields:
-            raise _SyntaxError(f"Box is missing argument {required!r}", first_span)
+            raise _SyntaxError(f"Box is missing argument {required!r}", ctor)
     try:
         box = OrientedBox(
             position=fields["position"][0],
@@ -410,83 +400,81 @@ def _parse_primitive(
     # Statement 2: <var> = Model(id="...", box=<box_var>, KEY=value, ...)
     if parser.at_eof():
         raise _SyntaxError(
-            f"box {box_var.text!r} is not followed by a Model statement", box_var.span
+            f"box {box_var[1]!r} is not followed by a Model statement", box_var
         )
     parser.expect_name("model variable name")
     parser.expect_op("=")
     ctor = parser.expect_name("Model constructor")
-    if ctor.text != "Model":
-        raise _SyntaxError(f"expected Model constructor, got {ctor.text!r}", ctor.span)
+    if ctor[1] != "Model":
+        raise _SyntaxError(f"expected Model constructor, got {ctor[1]!r}", ctor)
     parser.expect_op("(")
 
     model_id: str | None = None
-    id_span = ctor.span
+    id_token = ctor
     box_ref: str | None = None
     params: dict[str, ParamValue] = {}
     raw_params: dict[str, str] = {}
     while True:
         key = parser.expect_name("Model argument name")
-        if key.text == "id":
+        name = key[1]
+        if name == "id":
             parser.expect_op("=")
             token = parser.peek()
-            if token.kind != _TOKEN_STRING:
-                raise _SyntaxError("model id must be a string literal", token.span)
+            if token[0] != _TOKEN_STRING:
+                raise _SyntaxError("model id must be a string literal", token)
             parser.advance()
             if model_id is not None:
-                raise _SyntaxError("duplicate 'id' argument", key.span)
-            model_id, id_span = token.text, token.span
-        elif key.text == "box":
+                raise _SyntaxError("duplicate 'id' argument", key)
+            model_id, id_token = token[1], token
+        elif name == "box":
             parser.expect_op("=")
             ref = parser.expect_name("box variable reference")
             if box_ref is not None:
-                raise _SyntaxError("duplicate 'box' argument", key.span)
-            box_ref = ref.text
-            if ref.text != box_var.text:
+                raise _SyntaxError("duplicate 'box' argument", key)
+            box_ref = ref[1]
+            if box_ref != box_var[1]:
                 raise _SyntaxError(
-                    f"Model references box {ref.text!r} but the preceding statement "
-                    f"defines {box_var.text!r}",
-                    ref.span,
+                    f"Model references box {box_ref!r} but the preceding statement "
+                    f"defines {box_var[1]!r}",
+                    ref,
                 )
         else:
-            if not _PARAM_KEY_RE.match(key.text):
+            if not _PARAM_KEY_RE.match(name):
                 raise _SyntaxError(
-                    f"parameter key {key.text!r} must match [A-Z][A-Z0-9]*", key.span
+                    f"parameter key {name!r} must match [A-Z][A-Z0-9]*", key
                 )
             parser.expect_op("=")
             token = parser.peek()
-            if token.kind == _TOKEN_NUMBER:
+            if token[0] == _TOKEN_NUMBER:
                 parser.advance()
-                value: ParamValue = float(token.text) if "." in token.text else int(token.text)
-            elif token.kind == _TOKEN_STRING:
+                value: ParamValue = _number_value(token)
+            elif token[0] == _TOKEN_STRING:
                 parser.advance()
-                value = token.text
+                value = token[1]
             else:
-                raise _SyntaxError(
-                    f"parameter {key.text} must be a number or string", token.span
-                )
-            if key.text in params:
+                raise _SyntaxError(f"parameter {name} must be a number or string", token)
+            if name in params:
                 diags.append(
-                    error("duplicate-param", f"duplicate parameter key {key.text!r}", key.span)
+                    error("duplicate-param", f"duplicate parameter key {name!r}", lines.span(key))
                 )
-            params[key.text] = value
-            raw_params[key.text] = token.text
-        token = parser.peek()
-        if token.kind == _TOKEN_OP and token.text == ",":
-            parser.advance()
-            continue
-        break
+            params[name] = value
+            raw_params[name] = token[1]
+        if not parser.accept_op(","):
+            break
     parser.expect_op(")")
     parser.expect_newline()
     if model_id is None:
-        raise _SyntaxError("Model is missing the 'id' argument", ctor.span)
+        raise _SyntaxError("Model is missing the 'id' argument", ctor)
     if box_ref is None:
-        raise _SyntaxError("Model is missing the 'box' argument", ctor.span)
-    return _finish_instance(model_id, id_span, box, params, raw_params, catalog, strict, diags)
+        raise _SyntaxError("Model is missing the 'box' argument", ctor)
+    return _finish_instance(
+        model_id, lambda: lines.span(id_token), box, params, raw_params, catalog, strict, diags
+    )
 
 
 def _finish_instance(
     model_id: str,
-    id_span: SourceSpan | None,
+    id_span: Callable[[], SourceSpan | None],
     box: OrientedBox,
     params: dict[str, ParamValue],
     raw_params: dict[str, str],
@@ -494,13 +482,14 @@ def _finish_instance(
     strict: bool,
     diags: list[Diagnostic],
 ) -> PrimitiveInstance | None:
+    """Check the instance against the catalog; `id_span()` locates its findings."""
     schema = catalog.get(model_id)
     if schema is None:
         message = f"unknown model ID {model_id!r}"
         if strict:
-            diags.append(error("unknown-model", message, id_span))
+            diags.append(error("unknown-model", message, id_span()))
             return None
-        diags.append(warning("unknown-model", message, id_span))
+        diags.append(warning("unknown-model", message, id_span()))
         # Catalog drift: keep unknown parameters as their verbatim source text.
         text_params: dict[str, ParamValue] = {
             key: raw_params.get(key, str(value)) for key, value in params.items()
@@ -511,9 +500,9 @@ def _finish_instance(
     kept = dict(params)
     for diag in checked:
         if strict:
-            diags.append(Diagnostic("error", diag.code, diag.message, id_span))
+            diags.append(Diagnostic("error", diag.code, diag.message, id_span()))
         else:
-            diags.append(Diagnostic("warning", diag.code, diag.message, id_span))
+            diags.append(Diagnostic("warning", diag.code, diag.message, id_span()))
     if not strict:
         for key in params:
             if schema.schema_for(key) is None:
@@ -655,7 +644,7 @@ def _instance_from_yaml(
         return None
 
     instance = _finish_instance(
-        id_node.value, id_node.span, box, params, raw_params, catalog, strict, diags
+        id_node.value, lambda: id_node.span, box, params, raw_params, catalog, strict, diags
     )
     if instance is None:
         return None

@@ -6,19 +6,26 @@ block mappings, block sequences, flow sequences of scalars, plain scalars
 mappings, block scalars, and multi-document streams are rejected. Every
 node carries a source span so callers can report precise diagnostics.
 
-Emission is handled by the individual formats (shape programs, catalogs),
-not here, so that byte-level output stays under each format's control.
+Scalars are rendered here (`format_*`), so that every format writes numbers
+and strings the same way; the layout of emitted documents is left to each
+format (shape programs, catalogs), so that byte-level output stays under
+that format's control.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .diagnostics import SourceSpan
 
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
-_FLOAT_RE = re.compile(r"^[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)$")
+#: A number literal in both shape-program syntaxes and in this subset: an
+#: optional sign, ASCII digits and at most one decimal point, no exponent.
+#: With a decimal point it is a float, without one an int.
+NUMBER_PATTERN = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)"
+_NUMBER_RE = re.compile(NUMBER_PATTERN)
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 
 # Leading characters of YAML features outside the subset.
@@ -321,10 +328,11 @@ def _parse_scalar_token(text: str, line: _Line, start: int) -> tuple[ScalarNode,
         return _parse_single_quoted(text, line, start)
     token = text.strip()
     span = line.span(start, len(token))
-    if _INT_RE.match(token):
-        return ScalarNode(int(token), span), len(text)
-    if _FLOAT_RE.match(token):
-        return ScalarNode(float(token), span), len(text)
+    if _NUMBER_RE.fullmatch(token):
+        try:
+            return ScalarNode(read_number(token), span), len(text)
+        except ValueError as exc:
+            raise RYamlError(str(exc), span) from None
     return ScalarNode(token, span), len(text)
 
 
@@ -370,6 +378,23 @@ def _parse_single_quoted(text: str, line: _Line, start: int) -> tuple[ScalarNode
     raise RYamlError("unterminated string", line.span(start))
 
 
+def read_number(token: str) -> int | float:
+    """The value of a `NUMBER_PATTERN` literal.
+
+    Raises ValueError when the value does not fit: a decimal that overflows
+    a float, or an integer longer than Python's int() accepts.
+    """
+    try:
+        if "." not in token:
+            return int(token)
+        value = float(token)
+    except ValueError:
+        raise ValueError("number literal is out of range") from None
+    if math.isinf(value):
+        raise ValueError("number literal is out of range")
+    return value
+
+
 def format_scalar(value: Scalar) -> str:
     """Render a scalar the way the subset parses it back (type-preserving)."""
     if isinstance(value, bool):
@@ -382,13 +407,17 @@ def format_scalar(value: Scalar) -> str:
 
 
 def format_float(value: float) -> str:
-    """Positional decimal rendering with exact float round-trip, no exponent."""
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValueError("non-finite numbers cannot be serialized")
-    if value == int(value) and abs(value) < 1e15:
+    """Type-preserving float rendering: always carries a decimal point."""
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
         return f"{value:.1f}"
-    from decimal import Decimal
+    text = format_positional(value)
+    return text if "." in text else text + ".0"
 
+
+def format_positional(value: float) -> str:
+    """Shortest decimal that reads back as exactly `value`, with no exponent."""
+    if not math.isfinite(value):
+        raise ValueError("non-finite numbers cannot be serialized")
     return format(Decimal(repr(value)), "f")
 
 
@@ -402,8 +431,6 @@ def format_string(value: str) -> str:
         _PLAIN_SAFE_RE.match(value)
         and not value.endswith(" ")
         and value.lower() not in _WORDY
-        and not _INT_RE.match(value)
-        and not _FLOAT_RE.match(value)
     ):
         return value
     escaped = value.replace("\\", "\\\\").replace('"', '\\"')

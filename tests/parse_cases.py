@@ -1,0 +1,224 @@
+"""Pinned Python-syntax parser outcomes; run as a script to re-record them.
+
+The fixture holds malformed and edge-case inputs together with what
+`parse_python` returned for each: every diagnostic (severity, code, message,
+line, column, offset, length) and the parsed model, if any. The inputs are
+hand-written lexical edge cases plus seeded mutants of emitted programs.
+
+Usage: python3 tests/parse_cases.py --write
+Only re-record on a commit whose diagnostics are trusted.
+"""
+
+import argparse
+import json
+import random
+import re
+import sys
+from pathlib import Path
+
+FIXTURE = Path(__file__).parent / "data" / "parse_python_pinned.json"
+
+_BOX = "b0 = Box(position=(300, 200, 1000), size=(600, 400, 2000), rotation=0)"
+_MODEL = 'm0 = Model(id="M-BB01", box=b0, N=2, NKA=298, NKB=298, DBXX=1)'
+_DOOR_BOX = "b0 = Box(position=(10, 10, 10), size=(5, 5, 5), rotation=0)"
+
+EDGE_CASES = [
+    "",
+    "\n",
+    "\n\n\n",
+    "\r\n",
+    "\r",
+    " \t ",
+    "# only a comment",
+    "# comment\n# another\n",
+    f"{_BOX}\n{_MODEL}\n",
+    f"{_BOX}\n{_MODEL}",  # no trailing newline
+    f"{_BOX}\r\n{_MODEL}\r\n",  # CRLF
+    f"{_BOX}\r\n{_MODEL}",
+    f"\t{_BOX}\n\t{_MODEL}\t\n",
+    "b0\t=\tBox(position=(1,\t1, 1), size=(1, 1, 1),\trotation=0)\n"
+    'm0 = Model(id="M-DOOR",\tbox=b0, N=)\n',
+    f"# header\n\n{_BOX}  # trailing\n\n# between\n{_MODEL} # end\n",
+    f"{_BOX}\n{_MODEL}\n# no newline after comment",
+    f'{_DOOR_BOX}\nm0 = Model(id="M-DOOR, box=b0)\n',  # unterminated
+    f'{_DOOR_BOX}\nm0 = Model(id="M-DOOR',  # unterminated at end of input
+    f'{_DOOR_BOX}\nm0 = Model(id="abc\\"\n',  # escaped quote at end of line
+    f'{_DOOR_BOX}\nm0 = Model(id="abc\\\\", box=b0)\n',  # escaped backslash
+    f'{_DOOR_BOX}\nm0 = Model(id="abc\\\\\\", box=b0)\n',
+    f'{_DOOR_BOX}\nm0 = Model(id="abc\\',
+    f'{_DOOR_BOX}\nm0 = Model(id="a\\nb", box=b0)\n',  # other escapes are literal
+    f'{_DOOR_BOX}\nm0 = Model(id="M-DOOR", box=b0, TXT="he said \\"hi\\"")\n',
+    f'{_DOOR_BOX}\nm0 = Model(id="M-Q", box=b0, TXT="a # not a comment", N=1)\n',
+    f'{_DOOR_BOX}\nm0 = Model(id="\U0001f642é", box=b0, N=)\n',  # columns count characters
+    'b0 = Box(position=(١, 2, 3), size=(1, 1, 1), rotation=0)\n',  # Arabic-Indic digit
+    "b0 = Box(position=(², 2, 3), size=(1, 1, 1), rotation=0)\n",  # superscript two
+    "b0 = Box(position=(１, 2, 3), size=(1, 1, 1), rotation=0)\n",  # fullwidth one
+    "b0 = Box(position=(+, 2, 3), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(., 2, 3), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(+., 2, 3), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(-, 2, 3), size=(1, 1, 1), rotation=0)\n",
+    "+",
+    ".",
+    "-",
+    "b0 = Box(position=(-5, .5, 5.), size=(+1, 1.25, 1), rotation=-90)\n"
+    'm0 = Model(id="M-DOOR", box=b0)\n',
+    "b0 = Box(position=(1.2.3, 2, 3), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(12abc, 2, 3), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(1e5, 2, 3), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(1--2, 2, 3), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(1, 2, 3)\x00, size=(1, 1, 1), rotation=0)\n",
+    "\x00",
+    "\x0c\x0b",
+    f'{_DOOR_BOX}\nm0 = Model(id="M-\rDOOR", box=b0, N=\r)\n',  # CR inside a string
+    "bö = Box(position=(1, 2, 3), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(",
+    "b0 = Box(\n",
+    "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)",
+    "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(1,\n2, 3), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(1, 2), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(1, 2, 3, 4), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(size=(1, 1, 1), rotation=0)\nm0 = Model(id=\"M-DOOR\", box=b0)\n",
+    "b0 = Box(position=(1, 1, 1), size=(1, 0, 1), rotation=0)\n",
+    "b0 = Box(position=(1, 1, 1), position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n",
+    "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0, color=3)\n",
+    "b0 = Bax(position=(1, 1, 1))\n",
+    "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0) extra\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\", box=b9)\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=M, box=b0)\n",
+    f"{_DOOR_BOX}\nm0 = Model(box=b0)\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\")\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\", id=\"M-DOOR\", box=b0)\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\", box=b0, box=b0)\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\", box=b0, AA=1, AA=2)\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\", box=b0, lower=1)\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\", box=b0, AA=b0)\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\", box=b0, ZZ=4.5, YY=-0.0, XX=\"t\")\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-MYSTERY\", box=b0, QQ=12, RR=1.50)\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-BB01\", box=b0, N=1, NKA=300, DBXX=9)\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-BB01\", box=b0, N=2.5, NKA=\"x\")\n",
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-BB01\", box=b0, N=2, NKA=500, NKB=500, DBXX=1)\n",
+    "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n"
+    "b1 = Bax(nothing)\n"
+    "b2 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n"
+    'm2 = Model(id="M-DOOR", box=b2)\n',
+    "b0 = Box(position=(" + "9" * 400 + ", 1, 1), size=(1, 1, 1), rotation=0)\n"
+    'm0 = Model(id="M-DOOR", box=b0)\n',
+    "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=" + "7" * 40 + ".25)\n"
+    'm0 = Model(id="M-DOOR", box=b0)\n',
+    f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\", box=b0, BIG={'1' * 200}, TINY=0.{'0' * 400}1)\n",
+    "x" * 2000 + " = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n",
+]
+
+_ALPHABET = list("\"\\\n\r\t #+-.=(),0123456789abcxyzBMN_") + [
+    "\x00", "١", "²", "é", "\U0001f642", "'", ";", "[", "\\\"", "\\\\",
+]
+_NUMBERS = ["0", "-0", "-1", ".5", "1.", "+7", "99999", "0.001", "123456789012", "1e5", "-.25"]
+
+
+def _emitted_programs(count: int) -> list[str]:
+    from cabinetkit import SynthSpec, builtin_catalog, emit_python, generate
+
+    catalog = builtin_catalog()
+    programs = []
+    for seed in range(count):
+        lines = emit_python(generate(SynthSpec(seed=seed), catalog), catalog).splitlines(True)
+        start = 2 * (seed % (len(lines) // 2))
+        programs.append("".join(lines[start:start + 2 + 2 * (seed % 2)]))
+    return programs
+
+
+def _tokens(text: str) -> list[str]:
+    """Coarse lexical pieces for mutation; joining them gives `text` back."""
+    return re.findall(r'"[^"\n]*"|[0-9.+-]+|[A-Za-z_][A-Za-z0-9_]*|\s+|.', text)
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        pieces = _tokens(text)
+        if not pieces:
+            return text
+        k = rng.randrange(len(pieces))
+        op = rng.randrange(7)
+        if op == 0:  # drop a token
+            del pieces[k]
+        elif op == 1:  # duplicate a token
+            pieces.insert(k, pieces[k])
+        elif op == 2:  # insert a character
+            pieces.insert(k, rng.choice(_ALPHABET))
+        elif op == 3:  # replace a character
+            pieces[k] = rng.choice(_ALPHABET)
+        elif op == 4:  # swap a number
+            numbers = [i for i, p in enumerate(pieces) if p[:1].isdigit() or p[:1] in "+-."]
+            if numbers:
+                pieces[rng.choice(numbers)] = rng.choice(_NUMBERS)
+        elif op == 5:  # swap two tokens
+            j = rng.randrange(len(pieces))
+            pieces[k], pieces[j] = pieces[j], pieces[k]
+        else:  # truncate
+            return "".join(pieces)[: rng.randrange(len(text) + 1)]
+        text = "".join(pieces)
+    return text
+
+
+def case_inputs() -> list[tuple[str, bool]]:
+    """All (text, strict) inputs of the fixture, in a fixed order."""
+    rng = random.Random(20241216)
+    cases = [(text, strict) for text in EDGE_CASES for strict in (False, True)]
+    for program in _emitted_programs(60):
+        cases.append((program, False))
+        for _ in range(5):
+            cases.append((_mutate(program, rng), rng.random() < 0.25))
+    return cases
+
+
+def outcome(text: str, strict: bool, catalog) -> dict:
+    """What parse_python returns for `text`, as plain JSON values."""
+    from cabinetkit import parse_python
+
+    result = parse_python(text, catalog, strict=strict)
+    diagnostics = [
+        [d.severity, d.code, d.message]
+        + ([d.span.line, d.span.column, d.span.offset, d.span.length] if d.span else [])
+        for d in result.diagnostics
+    ]
+    model = None
+    if result.model is not None:
+        model = [
+            [
+                inst.model_id,
+                inst.name,
+                list(inst.box.position),
+                list(inst.box.size),
+                inst.box.rotation_deg,
+                [[key, value] for key, value in inst.params.items()],
+            ]
+            for inst in result.model.instances
+        ]
+    return {"text": text, "strict": strict, "diagnostics": diagnostics, "model": model}
+
+
+def dumps(cases: list[dict]) -> str:
+    """One case per line, ASCII only, so the file diffs case by case."""
+    return "[\n" + ",\n".join(json.dumps(case, ensure_ascii=True) for case in cases) + "\n]\n"
+
+
+def main_script() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--write", action="store_true", help="re-record the fixture")
+    args = parser.parse_args()
+    if not args.write:
+        parser.error("pass --write to re-record the fixture")
+    from cabinetkit import builtin_catalog
+
+    catalog = builtin_catalog()
+    cases = [outcome(text, strict, catalog) for text, strict in case_inputs()]
+    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+    FIXTURE.write_text(dumps(cases), encoding="utf-8")
+    print(f"wrote {len(cases)} cases to {FIXTURE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.exit(main_script())

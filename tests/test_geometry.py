@@ -55,6 +55,11 @@ class TestOrientedBox:
         with pytest.raises(ValueError):
             box((0, 0, 0), (math.inf, 1, 1))
 
+    def test_overflowing_volume_rejected(self):
+        with pytest.raises(ValueError, match="volume"):
+            box((0, 0, 0), (1e120, 1e120, 1e120))
+        assert box((0, 0, 0), (1e100, 1e100, 1e100)).volume == pytest.approx(1e300)
+
     @given(boxes())
     def test_rotation_always_in_range(self, b):
         assert 0.0 <= b.rotation_deg < 360.0

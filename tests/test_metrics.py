@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 from cabinetkit import CabinetModel, OrientedBox, make_instance
 from cabinetkit.metrics import (
     DEFAULT_IOU_THRESHOLD,
+    _solve_min_cost,
     evaluate_corpus,
     evaluate_sample,
     iou_matrix,
@@ -71,6 +72,13 @@ class TestMatch:
             got = sum(iou for _, _, iou in match(pred, gt).pairs)
             rows, cols = linear_sum_assignment(ious, maximize=True)
             assert got == pytest.approx(float(ious[rows, cols].sum()), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_solver_rejects_non_finite_costs(self, bad):
+        cost = np.zeros((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _solve_min_cost(cost)
 
 
 class TestEvaluateSample:

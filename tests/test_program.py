@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml  # independent reader for format conformance
@@ -17,6 +22,7 @@ from cabinetkit import (
     parse_yaml,
     validate,
 )
+import cabinetkit
 from cabinetkit.diagnostics import has_errors
 
 TWO_STATEMENTS = """\
@@ -247,6 +253,21 @@ class TestRoundTrip:
             assert got["NUM"] == "42"
             assert got["REAL"] == "4.25"
 
+    def test_float_params_keep_their_type(self, catalog):
+        inst = make_instance(
+            catalog,
+            "M-BB01",
+            OrientedBox((10, 10, 10), (5, 5, 5)),
+            {"N": 1, "NKA": 1e16, "DBXX": 1},
+        )
+        model = CabinetModel((inst,))
+        for emit, parse in ((emit_python, parse_python), (emit_yaml, parse_yaml)):
+            text = emit(model, catalog)
+            assert "10000000000000000.0" in text
+            result = parse(text, catalog)
+            assert result.ok and result.model == model
+            assert isinstance(result.model.instances[0].params["NKA"], float)
+
     def test_emission_deterministic(self, catalog, simple_model):
         assert emit_python(simple_model, catalog) == emit_python(simple_model, catalog)
         assert emit_yaml(simple_model, catalog) == emit_yaml(simple_model, catalog)
@@ -292,6 +313,67 @@ class TestTotality:
         )
         result = parse_python(text, catalog)
         assert not result.ok
+
+    OVERFLOW = "9" * 400 + ".0"
+
+    def test_overflowing_float_literal_python(self, catalog):
+        model_line = f'm0 = Model(id="M-DOOR", box=b0, ZZ={self.OVERFLOW})'
+        text = "b0 = Box(position=(10, 10, 10), size=(5, 5, 5), rotation=0)\n" + model_line + "\n"
+        result = parse_python(text, catalog)
+        assert not result.ok
+        [diag] = result.diagnostics
+        assert (diag.severity, diag.code) == ("error", "syntax")
+        assert "out of range" in diag.message
+        column = model_line.index(self.OVERFLOW) + 1
+        assert (diag.span.line, diag.span.column) == (2, column)
+        assert (diag.span.offset, diag.span.length) == (text.index(self.OVERFLOW), len(self.OVERFLOW))
+
+    def test_overflowing_float_literal_yaml(self, catalog):
+        text = (
+            "cabinet:\n- id: M-DOOR\n  position: [10, 10, 10]\n  size: [5, 5, 5]\n"
+            f"  rotation: 0\n  params:\n    ZZ: {self.OVERFLOW}\n"
+        )
+        result = parse_yaml(text, catalog)
+        assert not result.ok
+        [diag] = result.diagnostics
+        assert (diag.severity, diag.code) == ("error", "syntax")
+        assert "out of range" in diag.message
+        assert (diag.span.line, diag.span.column) == (7, 9)
+        assert (diag.span.offset, diag.span.length) == (text.index(self.OVERFLOW), len(self.OVERFLOW))
+
+    def test_overlong_integer_literal_is_syntax_error(self, catalog):
+        digits = "9" * 5000  # past Python's int() digit limit
+        text = (
+            "b0 = Box(position=(10, 10, 10), size=(5, 5, 5), rotation=0)\n"
+            f'm0 = Model(id="M-DOOR", box=b0, ZZ={digits})\n'
+        )
+        assert [d.code for d in parse_python(text, catalog).diagnostics] == ["syntax"]
+        yaml_text = f"cabinet:\n- id: M-DOOR\n  params:\n    ZZ: {digits}\n"
+        assert [d.code for d in parse_yaml(yaml_text, catalog).diagnostics] == ["syntax"]
+
+    def test_huge_box_is_rejected_and_eval_terminates(self):
+        big = "1" + "0" * 120
+        text = (
+            f"b0 = Box(position=(10, 10, 10), size=({big}, {big}, {big}), rotation=0)\n"
+            'm0 = Model(id="M-DOOR", box=b0)\n'
+        )
+        script = (
+            "from cabinetkit import builtin_catalog, evaluate_sample, parse_python\n"
+            "catalog = builtin_catalog()\n"
+            f"result = parse_python({text!r}, catalog)\n"
+            "if result.ok:\n"
+            "    evaluate_sample(result.model, result.model, catalog)\n"
+            "print('; '.join(str(d) for d in result.diagnostics))\n"
+        )
+        package_root = str(Path(cabinetkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=package_root)
+        # A subprocess, so that a hang is killed at the bound instead of
+        # stalling the suite.
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1:38: error: box volume must be finite [syntax]"
 
 
 class TestValidate:

@@ -101,6 +101,27 @@ def test_format_scalar_preserves_types():
     assert isinstance(ryaml.loads("k: 3.0\n")["k"], float)
 
 
+def test_format_float_keeps_a_decimal_point():
+    for value in (3.0, -0.0, 0.1, 2.5e-7, 1e15, 1e16, -1.5e22):
+        text = ryaml.format_float(value)
+        assert "." in text and "e" not in text
+        read = ryaml.read_number(text)
+        assert isinstance(read, float) and read == value
+    assert ryaml.format_float(-0.0) == "-0.0"
+    assert ryaml.format_float(1e16) == "10000000000000000.0"
+    with pytest.raises(ValueError):
+        ryaml.format_float(float("inf"))
+
+
+def test_out_of_range_numbers_rejected_at_the_literal():
+    literal = "9" * 400 + ".0"
+    with pytest.raises(RYamlError, match="out of range") as info:
+        ryaml.parse(f"a: 1\nb: {literal}\n")
+    span = info.value.span
+    assert (span.line, span.column, span.offset, span.length) == (2, 4, 8, len(literal))
+    assert ryaml.loads("a: 0." + "0" * 400 + "1\n") == {"a": 0.0}  # underflow is finite
+
+
 def test_empty_document_rejected():
     with pytest.raises(RYamlError, match="empty"):
         ryaml.parse("   \n# only a comment\n")
