@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import codec, corpus, drawing, metrics, program, synth
@@ -122,6 +121,10 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+class _GroundTruthUnparsed(Exception):
+    """Stops `cmd_eval` at a ground truth that failed to parse (already reported)."""
+
+
 def cmd_eval(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     pred_base, pred_entries = corpus.read_manifest(args.pred)
@@ -135,33 +138,26 @@ def cmd_eval(args) -> int:
             print(f"sample {sample_id!r} missing from {side}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
 
-    sample_ids = sorted(gt_by_id)
+    def load_pairs():
+        # One sample at a time, so that memory does not grow with the corpus.
+        for sample_id in sorted(gt_by_id):
+            pred_result = corpus.load_entry(pred_base, pred_by_id[sample_id], catalog)
+            gt_result = corpus.load_entry(gt_base, gt_by_id[sample_id], catalog)
+            if gt_result.model is None:
+                print(f"ground truth {sample_id!r} failed to parse:", file=sys.stderr)
+                _print_diagnostics(gt_result.diagnostics, prefix="  ")
+                raise _GroundTruthUnparsed
+            yield sample_id, pred_result.model, gt_result.model
 
-    def load_pair(sample_id: str):
-        pred_result = corpus.load_entry(pred_base, pred_by_id[sample_id], catalog)
-        gt_result = corpus.load_entry(gt_base, gt_by_id[sample_id], catalog)
-        return sample_id, pred_result, gt_result
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            loaded = list(pool.map(load_pair, sample_ids))
-    else:
-        loaded = [load_pair(sid) for sid in sample_ids]
-
-    pairs = []
-    for sample_id, pred_result, gt_result in loaded:
-        if gt_result.model is None:
-            print(f"ground truth {sample_id!r} failed to parse:", file=sys.stderr)
-            _print_diagnostics(gt_result.diagnostics, prefix="  ")
-            return EXIT_DIAGNOSTICS
-        pairs.append((sample_id, pred_result.model, gt_result.model))
-
-    report = metrics.evaluate_corpus(
-        pairs,
-        catalog,
-        args.iou,
-        retrieval_over_all_pairs=args.retrieval_over_all_pairs,
-    )
+    try:
+        report = metrics.evaluate_corpus(
+            load_pairs(),
+            catalog,
+            args.iou,
+            retrieval_over_all_pairs=args.retrieval_over_all_pairs,
+        )
+    except _GroundTruthUnparsed:
+        return EXIT_DIAGNOSTICS
     if args.out is not None:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
     _print_summary(report)
@@ -278,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="ground-truth corpus dir or manifest")
     p.add_argument("--iou", type=float, default=metrics.DEFAULT_IOU_THRESHOLD)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument(
         "--retrieval-over-all-pairs",
         action="store_true",
@@ -309,8 +304,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "synth" and args.count <= 0:
         parser.error("--count must be positive")
-    if args.command == "eval" and args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except (OSError, CatalogError, corpus.CorpusFormatError, ValueError) as exc:

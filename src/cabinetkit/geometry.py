@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +48,14 @@ _VIEW_AXES = {
 }
 
 
+class BoxError(ValueError):
+    """An invalid `OrientedBox` argument; `argument` names it."""
+
+    def __init__(self, message: str, argument: str):
+        super().__init__(message)
+        self.argument = argument  # "position", "size" or "rotation"
+
+
 @dataclass(frozen=True)
 class OrientedBox:
     """A 3D box: center position, extents, and rotation about the z axis.
@@ -65,16 +73,18 @@ class OrientedBox:
         position = tuple(float(c) for c in self.position)
         size = tuple(float(c) for c in self.size)
         if len(position) != 3 or len(size) != 3:
-            raise ValueError("position and size must be 3-vectors")
+            argument = "position" if len(position) != 3 else "size"
+            raise BoxError("position and size must be 3-vectors", argument)
         if not all(math.isfinite(c) for c in position + size):
-            raise ValueError("box coordinates must be finite")
+            argument = "size" if all(math.isfinite(c) for c in position) else "position"
+            raise BoxError("box coordinates must be finite", argument)
         if not all(c > 0 for c in size):
-            raise ValueError(f"box size components must be positive, got {size}")
+            raise BoxError(f"box size components must be positive, got {size}", "size")
         if not math.isfinite(size[0] * size[1] * size[2]):
-            raise ValueError("box volume must be finite")
+            raise BoxError("box volume must be finite", "size")
         rotation = float(self.rotation_deg)
         if not math.isfinite(rotation):
-            raise ValueError("rotation must be finite")
+            raise BoxError("rotation must be finite", "rotation")
         rotation = rotation % 360.0
         if rotation >= 360.0:  # float modulo can round up to the divisor
             rotation = 0.0
@@ -202,49 +212,115 @@ def _dedupe_ring(verts: list[Point2]) -> list[Point2]:
     return out
 
 
-def box_aabb(box: OrientedBox) -> tuple[np.ndarray, np.ndarray]:
-    """World-frame axis-aligned bounds of a (possibly rotated) box."""
-    corners = box_corners(box)
-    return corners.min(axis=0), corners.max(axis=0)
+def pairwise_iou(
+    boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox], *, method: str = "rotated"
+) -> np.ndarray:
+    """IoU of every (a, b) pair of z-rotated boxes, shape (len(a), len(b)).
 
-
-def iou3d(a: OrientedBox, b: OrientedBox, *, method: str = "rotated") -> float:
-    """Intersection-over-union of two z-rotated boxes, in [0, 1].
-
-    The default computes the exact overlap as (footprint polygon
-    intersection area) x (z interval overlap). ``method="aabb"`` instead
-    compares the boxes' world-frame AABBs, for diagnostics and testing.
-    Face-tangent boxes (zero-volume intersection) score exactly 0.
+    A pair of right-angle boxes (rotations that are multiples of 90 degrees)
+    scores the exact AABB product: the overlaps of the two boxes' bounds on
+    each axis multiplied, over volumes taken from the same bounds, so that
+    identical boxes score exactly 1.0. Any other pair scores its footprint
+    intersection area times its z overlap (`clip_iou`); the clipping runs
+    only for pairs that overlap in z and whose xy bounds are not apart by
+    more than the clipping tolerance can bridge. ``method="aabb"`` scores
+    every pair by the AABB product of its world-frame bounds, for
+    diagnostics. Pairs that only touch (zero-volume intersection) score 0,
+    exactly so when both boxes are at right angles or the touch is in z.
     """
-    if method == "aabb":
-        lo_a, hi_a = box_aabb(a)
-        lo_b, hi_b = box_aabb(b)
-        overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
-        if np.any(overlap <= 0):
-            return 0.0
-        inter = float(np.prod(overlap))
-        vol_a = float(np.prod(hi_a - lo_a))
-        vol_b = float(np.prod(hi_b - lo_b))
-        return inter / (vol_a + vol_b - inter)
-    if method != "rotated":
+    if method not in ("rotated", "aabb"):
         raise ValueError(f"unknown IoU method {method!r}")
+    iou = np.zeros((len(boxes_a), len(boxes_b)))
+    if iou.size == 0:
+        return iou
+    lo_a, hi_a, right_a = _box_bounds(boxes_a)
+    lo_b, hi_b, right_b = _box_bounds(boxes_b)
+    overlap = np.minimum(hi_a[:, None], hi_b[None]) - np.maximum(lo_a[:, None], lo_b[None])
+    ox, oy, oz = overlap[..., 0], overlap[..., 1], overlap[..., 2]
+    ext_a, ext_b = hi_a - lo_a, hi_b - lo_b
+    vol_a = ext_a[:, 0] * ext_a[:, 1] * ext_a[:, 2]
+    vol_b = ext_b[:, 0] * ext_b[:, 1] * ext_b[:, 2]
+    inter = ox * oy * oz
+    if method == "rotated":
+        clip = ~(right_a[:, None] & right_b[None])
+    else:
+        clip = np.zeros(iou.shape, dtype=bool)
+    product = (ox > 0) & (oy > 0) & (oz > 0) & ~clip
+    np.divide(inter, (vol_a[:, None] + vol_b[None]) - inter, out=iou, where=product)
+    if not clip.any():
+        return iou
 
+    # Clipping keeps vertices up to CLIP_EPS / |edge| outside each edge of
+    # the clip polygon, at most 2 * CLIP_EPS / |edge| past its AABB. `reach`
+    # doubles that and adds CLIP_EPS: pairs apart in x or y by more clip to
+    # nothing. The z test is the one `_clip_iou` makes.
+    edge_a = np.array([min(box.size[0], box.size[1]) for box in boxes_a])
+    edge_b = np.array([min(box.size[0], box.size[1]) for box in boxes_b])
+    reach = CLIP_EPS + 4.0 * CLIP_EPS / np.minimum(edge_a[:, None], edge_b[None])
+    clip &= (oz > 0) & (ox > -reach) & (oy > -reach)
+    rows, cols = (index.tolist() for index in np.nonzero(clip))
+    feet_a = {i: box_footprint(boxes_a[i]) for i in set(rows)}
+    feet_b = {j: box_footprint(boxes_b[j]) for j in set(cols)}
+    for i, j in zip(rows, cols):
+        iou[i, j] = _clip_iou(boxes_a[i], feet_a[i], boxes_b[j], feet_b[j])
+    return iou
+
+
+def _box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """World-frame AABBs as (lo, hi), each of shape (n, 3), and the right-angle mask.
+
+    A right-angle box's bounds are field arithmetic (center -/+ half size,
+    x and y swapped on odd quarter turns), which is bit-identical to its
+    footprint corners; a rotated box's xy bounds come from its corners.
+    """
+    n = len(boxes)
+    position = np.array([box.position for box in boxes]).reshape(n, 3)
+    half = np.array([box.size for box in boxes]).reshape(n, 3) / 2.0
+    rotation = np.array([box.rotation_deg for box in boxes])
+    right = rotation % 90.0 == 0.0
+    odd = (rotation == 90.0) | (rotation == 270.0)
+    half[odd, :2] = half[odd, 1::-1]
+    lo = position - half
+    hi = position + half
+    for i in np.flatnonzero(~right).tolist():
+        xs, ys = zip(*box_footprint(boxes[i]))
+        lo[i, :2] = min(xs), min(ys)
+        hi[i, :2] = max(xs), max(ys)
+    return lo, hi, right
+
+
+def clip_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """IoU as footprint clipping times z overlap, with no prefilter.
+
+    This is the route `pairwise_iou` takes for pairs with a box that is not
+    at a right angle; it is kept whole so that route can be checked against it.
+    """
+    return _clip_iou(a, box_footprint(a), b, box_footprint(b))
+
+
+def _clip_iou(a: OrientedBox, foot_a: list[Point2], b: OrientedBox, foot_b: list[Point2]) -> float:
     za0, za1 = a.z_interval
     zb0, zb1 = b.z_interval
     overlap_z = min(za1, zb1) - max(za0, zb0)
     if overlap_z <= 0:
         return 0.0
-    foot_a = box_footprint(a)
-    foot_b = box_footprint(b)
     inter_area = polygon_area(clip_convex(foot_a, foot_b))
     if inter_area <= 0:
         return 0.0
-    # Volumes go through the same footprint-area route as the intersection
-    # so that identical boxes score exactly 1.0.
-    vol_a = polygon_area(foot_a) * a.size[2]
-    vol_b = polygon_area(foot_b) * b.size[2]
+    # Volumes go through the same footprint areas and z intervals as the
+    # intersection, so that identical boxes score exactly 1.0.
+    vol_a = polygon_area(foot_a) * (za1 - za0)
+    vol_b = polygon_area(foot_b) * (zb1 - zb0)
     inter = inter_area * overlap_z
     return inter / (vol_a + vol_b - inter)
+
+
+def iou3d(a: OrientedBox, b: OrientedBox, *, method: str = "rotated") -> float:
+    """Intersection-over-union of two z-rotated boxes, in [0, 1].
+
+    The 1 x 1 case of `pairwise_iou`, which defines the score and `method`.
+    """
+    return float(pairwise_iou((a,), (b,), method=method)[0, 0])
 
 
 def model_aabb(model: "CabinetModel") -> tuple[np.ndarray, np.ndarray]:

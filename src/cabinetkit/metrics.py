@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .catalog import ParamValue, PrimitiveCatalog, PrimitiveSchema, KIND_LENGTH
-from .geometry import iou3d
+from .geometry import pairwise_iou
 from .program import CabinetModel
 
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -42,12 +42,10 @@ class Matching:
 
 
 def iou_matrix(pred: CabinetModel, gt: CabinetModel, *, method: str = "rotated") -> np.ndarray:
-    """Pairwise IoU matrix, shape (len(pred), len(gt))."""
-    matrix = np.zeros((len(pred), len(gt)))
-    for i, p in enumerate(pred.instances):
-        for j, g in enumerate(gt.instances):
-            matrix[i, j] = iou3d(p.box, g.box, method=method)
-    return matrix
+    """Pairwise IoU matrix, shape (len(pred), len(gt)); see `geometry.pairwise_iou`."""
+    return pairwise_iou(
+        [p.box for p in pred.instances], [g.box for g in gt.instances], method=method
+    )
 
 
 def _solve_min_cost(cost: np.ndarray) -> list[int]:

@@ -30,7 +30,7 @@ from typing import Callable
 from . import geometry, ryaml
 from .catalog import ParamValue, PrimitiveCatalog, validate_params
 from .diagnostics import Diagnostic, SourceSpan, error, has_errors, warning
-from .geometry import OrientedBox
+from .geometry import BoxError, OrientedBox
 
 MAX_INSTANCES = 48
 SIZE_FILTER_MM = (100.0, 4500.0)
@@ -394,8 +394,8 @@ def _parse_primitive(
             size=fields["size"][0],
             rotation_deg=_to_float(fields["rotation"][0]),
         )
-    except ValueError as exc:
-        raise _SyntaxError(str(exc), fields["size"][1]) from None
+    except BoxError as exc:
+        raise _SyntaxError(str(exc), fields[exc.argument][1]) from None
 
     # Statement 2: <var> = Model(id="...", box=<box_var>, KEY=value, ...)
     if parser.at_eof():

@@ -215,9 +215,32 @@ class TestEval:
     def test_eval_report_deterministic(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run("eval", "--pred", corpus_dir, "--gt", corpus_dir, "--out", a) == 0
-        assert run("eval", "--pred", corpus_dir, "--gt", corpus_dir, "--out", b,
-                   "--jobs", 3) == 0
+        assert run("eval", "--pred", corpus_dir, "--gt", corpus_dir, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unparsable_ground_truth_mid_corpus_exits_one(self, corpus_dir, tmp_path, capsys):
+        gt_dir = tmp_path / "gt"
+        gt_dir.mkdir()
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        for sample in manifest["samples"]:
+            (gt_dir / sample["file"]).write_bytes((corpus_dir / sample["file"]).read_bytes())
+        broken = manifest["samples"][2]
+        (gt_dir / broken["file"]).write_text("b0 = Box(\n", encoding="utf-8")
+        (gt_dir / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "report.json"
+        assert run("eval", "--pred", corpus_dir, "--gt", gt_dir, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"ground truth {broken['id']!r} failed to parse:",
+            "  1:10: error: expected Box argument name [syntax]",
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_jobs_option_is_gone(self, corpus_dir):
+        with pytest.raises(SystemExit) as err:
+            run("eval", "--pred", corpus_dir, "--gt", corpus_dir, "--jobs", 2)
+        assert err.value.code == 2
 
 
 class TestCatalogFlag:

@@ -10,12 +10,15 @@ from cabinetkit.geometry import (
     box_corners,
     box_footprint,
     clip_convex,
+    clip_iou,
     iou3d,
     merge_segments,
     model_aabb,
+    pairwise_iou,
     polygon_area,
     project_box,
 )
+from cabinetkit.metrics import iou_matrix
 from helpers import aabb_iou_oracle, random_box
 
 SQRT2 = math.sqrt(2.0)
@@ -172,6 +175,125 @@ class TestIoU:
             b = random_box(rng, rotations=(0, 10, 45, 80))
             v = iou3d(a, b)
             assert 0.0 <= v <= 1.0
+
+
+RIGHT_ANGLES = (0.0, 90.0, 180.0, 270.0)
+MIXED_ROTATIONS = RIGHT_ANGLES + (1.0, 30.0, 45.0, 137.0, 351.5)
+GAPS_MM = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
+
+
+def _axes(rotation_deg):
+    """The box's own x and y axes in the world frame (exact at right angles)."""
+    if rotation_deg % 90.0 == 0.0:
+        c, s = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[int(rotation_deg // 90.0)]
+    else:
+        c, s = math.cos(math.radians(rotation_deg)), math.sin(math.radians(rotation_deg))
+    return (c, s), (-s, c)
+
+
+def _neighbours(rng, anchor):
+    """Boxes beside `anchor` along its x, y and z axes, GAPS_MM apart (< 0: overlapping)."""
+    out = []
+    px, py, pz = anchor.position
+    for gap in GAPS_MM:
+        size = tuple(rng.uniform(30.0, 800.0, 3))
+        rotation = anchor.rotation_deg if rng.random() < 0.8 else float(rng.choice(MIXED_ROTATIONS))
+        for axis, (ux, uy) in enumerate(_axes(anchor.rotation_deg)):
+            d = (anchor.size[axis] + size[axis]) / 2.0 + gap
+            out.append(OrientedBox((px + ux * d, py + uy * d, pz), size, rotation))
+        d = (anchor.size[2] + size[2]) / 2.0 + gap
+        out.append(OrientedBox((px, py, pz + d), size, rotation))
+    return out
+
+
+def _boxes(rng, rotations, n):
+    return [random_box(rng, rotations=rotations) for _ in range(n)]
+
+
+def _model(catalog, boxes):
+    return CabinetModel(tuple(make_instance(catalog, "M-DOOR", b) for b in boxes))
+
+
+def _right_angle(box):
+    return box.rotation_deg % 90.0 == 0.0
+
+
+class TestPairwiseIoU:
+    """The batched kernel against iou3d, the AABB oracle and unfiltered clipping."""
+
+    @given(st.integers(0, 10_000), st.sampled_from([RIGHT_ANGLES, MIXED_ROTATIONS, (30.0,)]))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_equals_references(self, catalog, seed, rotations):
+        rng = np.random.default_rng(seed)
+        pred = _boxes(rng, rotations, int(rng.integers(1, 10)))
+        pred += _neighbours(rng, pred[0])
+        gt = _boxes(rng, rotations, int(rng.integers(1, 10))) + pred[:2]
+        for method in ("rotated", "aabb"):
+            matrix = iou_matrix(_model(catalog, pred), _model(catalog, gt), method=method)
+            assert matrix.shape == (len(pred), len(gt))
+            assert ((matrix >= 0.0) & (matrix <= 1.0)).all()
+            for i, a in enumerate(pred):
+                for j, b in enumerate(gt):
+                    assert matrix[i, j] == iou3d(a, b, method=method)
+                    if method == "aabb":
+                        continue
+                    if _right_angle(a) and _right_angle(b):
+                        assert abs(matrix[i, j] - aabb_iou_oracle(a, b)) <= 1e-12
+                    else:
+                        assert matrix[i, j] == clip_iou(a, b)
+
+    def test_xy_prefilter_keeps_what_clipping_bridges(self):
+        # A box tilted by a hair, its corner within the clipping tolerance
+        # of an axis-aligned face: clipping may score a sliver although the
+        # xy AABBs are (barely) apart, and the prefilter must let it through.
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            a = box((1000, 1000, 1000), rng.uniform(1, 800, 3) * 10.0 ** rng.uniform(-3, 0),
+                    float(rng.choice([0.0, 90.0])))
+            size = rng.uniform(1, 800, 3) * 10.0 ** rng.uniform(-3, 0)
+            tilt = 10.0 ** rng.uniform(-12, -2) * rng.choice([-1, 1])
+            lo_a, hi_a = box_corners(a).min(axis=0), box_corners(a).max(axis=0)
+            b = box((0, 0, 1000), size, tilt)
+            lo_b, hi_b = box_corners(b).min(axis=0), box_corners(b).max(axis=0)
+            gap = float(rng.choice([0.0, 1e-13, -1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 3e-9]))
+            dx = hi_a[0] - lo_b[0] + gap
+            dy = rng.uniform(lo_a[1] - hi_b[1], hi_a[1] - lo_b[1])
+            b = box((dx, dy, 1000), size, tilt)
+            assert pairwise_iou([a], [b])[0, 0] == clip_iou(a, b)
+            assert pairwise_iou([b], [a])[0, 0] == clip_iou(b, a)
+
+    @pytest.mark.parametrize("rotation", RIGHT_ANGLES)
+    def test_face_tangent_right_angle_pairs_score_zero(self, rotation):
+        a = box((100, 200, 300), (40, 60, 80), rotation)
+        (ux, uy), (vx, vy) = _axes(rotation)
+        touching = [
+            box((100 + 45 * ux, 200 + 45 * uy, 300), (50, 60, 80), rotation),
+            box((100 + 35 * vx, 200 + 35 * vy, 300), (40, 10, 80), rotation),
+            box((100, 200, 390), (40, 60, 100), rotation),
+        ]
+        assert (pairwise_iou([a], touching) == 0.0).all()
+        assert (pairwise_iou(touching, [a], method="aabb") == 0.0).all()
+
+    def test_empty_sides(self):
+        boxes = [box((0, 0, 0), (1, 1, 1)), box((5, 0, 0), (1, 1, 1), 30)]
+        for method in ("rotated", "aabb"):
+            assert pairwise_iou([], boxes, method=method).shape == (0, 2)
+            assert pairwise_iou(boxes, [], method=method).shape == (2, 0)
+            assert pairwise_iou([], [], method=method).shape == (0, 0)
+
+    def test_unknown_method_rejected(self):
+        a = box((0, 0, 0), (1, 1, 1))
+        with pytest.raises(ValueError, match="unknown IoU method"):
+            iou3d(a, a, method="obb")
+
+    @pytest.mark.parametrize("size", [1e-10, 1e-4])
+    @pytest.mark.parametrize("rotation", RIGHT_ANGLES)
+    def test_tiny_right_angle_box_self_iou_is_one(self, size, rotation):
+        # Clipping scored these 0.0 (1e-10 mm) and up to 1.00000000026 (1e-4 mm).
+        for position in ((0, 0, 0), (1, 2, 3), (250.5, 100.25, 30), (1000, 2000, 500)):
+            b = box(position, (size, 2 * size, 3 * size), rotation)
+            assert iou3d(b, b) == 1.0
+            assert iou3d(b, b, method="aabb") == 1.0
 
 
 class TestProjection:

@@ -314,6 +314,35 @@ class TestTotality:
         result = parse_python(text, catalog)
         assert not result.ok
 
+    HUGE = "9" * 400  # an integer that converts to an infinite float
+    BIG = "1" + "0" * 200  # finite, but a box with two such sizes is not
+
+    @pytest.mark.parametrize(
+        "box_args, argument, message",
+        [
+            (f"position=({HUGE}, 1, 1), size=(1, 1, 1), rotation=0",
+             "position=", "box coordinates must be finite"),
+            (f"rotation=0, size=(1, 1, 1), position=(1, {HUGE}, 1)",
+             "position=", "box coordinates must be finite"),
+            (f"position=(1, 1, 1), size=(1, 1, {HUGE}), rotation=0",
+             "size=", "box coordinates must be finite"),
+            ("size=(1, 0, 1), position=(1, 1, 1), rotation=0",
+             "size=", "box size components must be positive, got (1.0, 0.0, 1.0)"),
+            (f"position=(1, 1, 1), size=({BIG}, {BIG}, 1), rotation=0",
+             "size=", "box volume must be finite"),
+            (f"position=(1, 1, 1), size=(1, 1, 1), rotation={HUGE}",
+             "rotation=", "rotation must be finite"),
+            (f"rotation={HUGE}, position=(1, 1, 1), size=(1, 1, 1)",
+             "rotation=", "rotation must be finite"),
+        ],
+    )
+    def test_box_rejection_points_at_the_argument(self, catalog, box_args, argument, message):
+        text = f"b0 = Box({box_args})\n" 'm0 = Model(id="M-DOOR", box=b0)\n'
+        [diag] = parse_python(text, catalog).diagnostics
+        assert (diag.severity, diag.code, diag.message) == ("error", "syntax", message)
+        offset = text.index(argument) + len(argument)  # the vector's "(" or the number
+        assert (diag.span.line, diag.span.column, diag.span.offset) == (1, offset + 1, offset)
+
     OVERFLOW = "9" * 400 + ".0"
 
     def test_overflowing_float_literal_python(self, catalog):
