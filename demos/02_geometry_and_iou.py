@@ -28,10 +28,6 @@ print("iou(a, a shifted by 1.0) =", iou3d(a, OrientedBox((1.0, 0, 0), (1, 1, 1))
 b = OrientedBox((0.3, 0.2, 0), (1, 1, 1), rotation_deg=30)
 print("iou(a, rotated b) =", round(iou3d(a, b), 6))
 
-# An AABB variant exists for comparison; for 90-degree grids both agree.
-c = OrientedBox((0.5, 0, 0), (1, 2, 1), rotation_deg=90)
-print("rotated vs aabb method:", iou3d(a, c), iou3d(a, c, method="aabb"))
-
 # Orthographic projections give the drawing geometry. An axis-aligned box
 # projects to its 4 silhouette segments; a rotated one shows interior edges.
 print("\nfront view of an axis-aligned box:", len(project_box(a, "front")), "segments")

@@ -25,8 +25,8 @@ PARAM_KINDS = (KIND_INTEGER, KIND_LENGTH, KIND_ENUM, KIND_TEXT)
 
 MAX_PARAMS_PER_PRIMITIVE = 8
 
-_KEY_RE = re.compile(r"^[A-Z][A-Z0-9]*$")
-_NK_RE = re.compile(r"^NK[A-Z]$")
+PARAM_KEY_RE = re.compile(r"^[A-Z][A-Z0-9]*$")
+NK_KEY_RE = re.compile(r"^NK[A-Z]$")
 
 
 class CatalogError(ValueError):
@@ -44,7 +44,7 @@ class ParamSchema:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not _KEY_RE.match(self.key):
+        if not PARAM_KEY_RE.match(self.key):
             raise CatalogError(f"parameter key {self.key!r} must match [A-Z][A-Z0-9]*")
         if self.kind not in PARAM_KINDS:
             raise CatalogError(f"unknown parameter kind {self.kind!r}")
@@ -186,7 +186,7 @@ def validate_params(
     """
     diags: list[Diagnostic] = []
     known = {p.key for p in schema.param_schemas}
-    nk_keys = [p.key for p in schema.param_schemas if _NK_RE.match(p.key)]
+    nk_keys = [p.key for p in schema.param_schemas if NK_KEY_RE.match(p.key)]
     has_nk_rule = bool(nk_keys) and schema.schema_for("N") is not None
 
     for key, value in params.items():
@@ -205,7 +205,7 @@ def validate_params(
     for param in schema.param_schemas:
         if param.key in params or param.default is not None:
             continue
-        if has_nk_rule and _NK_RE.match(param.key):
+        if has_nk_rule and NK_KEY_RE.match(param.key):
             continue  # governed by the count rule below
         diags.append(
             error(

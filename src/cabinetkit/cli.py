@@ -43,13 +43,6 @@ def _detect_format(path: Path, forced: str) -> str:
     return "yaml" if head.startswith("cabinet:") else "python"
 
 
-def _parse_model(path: Path, fmt: str, catalog, strict: bool) -> program.ParseResult:
-    text = path.read_bytes()
-    if fmt == "python":
-        return program.parse_python(text, catalog, strict)
-    return program.parse_yaml(text, catalog, strict)
-
-
 def _print_diagnostics(diags, prefix: str = "") -> None:
     for diag in diags:
         print(f"{prefix}{diag}", file=sys.stderr)
@@ -59,7 +52,7 @@ def cmd_validate(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     path = Path(args.path)
     fmt = _detect_format(path, args.format)
-    result = _parse_model(path, fmt, catalog, args.strict)
+    result = corpus.parse_file(path, fmt, catalog, args.strict)
     diags = list(result.diagnostics)
     if result.model is not None:
         diags.extend(program.validate(result.model, catalog, filters=args.filters))
@@ -71,7 +64,7 @@ def cmd_convert(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     in_path = Path(args.input)
     fmt = _detect_format(in_path, args.format)
-    result = _parse_model(in_path, fmt, catalog, strict=False)
+    result = corpus.parse_file(in_path, fmt, catalog, strict=False)
     _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
     if result.model is None:
         return EXIT_DIAGNOSTICS
@@ -89,7 +82,7 @@ def cmd_render(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     in_path = Path(args.input)
     fmt = _detect_format(in_path, args.format)
-    result = _parse_model(in_path, fmt, catalog, strict=False)
+    result = corpus.parse_file(in_path, fmt, catalog, strict=False)
     _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
     if result.model is None:
         return EXIT_DIAGNOSTICS

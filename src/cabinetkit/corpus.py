@@ -102,12 +102,23 @@ def read_manifest(path: str | Path) -> tuple[Path, list[CorpusEntry]]:
     return manifest_path.parent, entries
 
 
+def parse_file(
+    path: str | Path, fmt: str, catalog: PrimitiveCatalog, strict: bool = False
+) -> ParseResult:
+    """Parse a shape-program file in `fmt` ("python" or "yaml").
+
+    The parser gets the raw bytes, so a file that is not valid UTF-8 yields
+    an ``encoding`` diagnostic instead of an exception.
+    """
+    data = Path(path).read_bytes()
+    parse = program.parse_python if fmt == "python" else program.parse_yaml
+    return parse(data, catalog, strict)
+
+
 def load_entry(
     base: Path, entry: CorpusEntry, catalog: PrimitiveCatalog, *, strict: bool = False
 ) -> ParseResult:
-    text = (base / entry.path).read_text(encoding="utf-8")
-    parse = program.parse_python if entry.format == "python" else program.parse_yaml
-    return parse(text, catalog, strict)
+    return parse_file(base / entry.path, entry.format, catalog, strict)
 
 
 def read_corpus(

@@ -172,8 +172,12 @@ def annotate(
     if not options.enabled:
         return [ViewDrawing(v.kind, list(v.segments), list(v.annotations)) for v in views]
 
+    lo, hi, _ = geometry.box_bounds([instance.box for instance in model.instances])
     out: list[ViewDrawing] = []
     for view in views:
+        # Each instance's (h0, v0, h1, v1) extent in this view's plane.
+        ax_h, ax_v = geometry.view_axes(view.kind)
+        rects = np.column_stack((lo[:, ax_h], lo[:, ax_v], hi[:, ax_h], hi[:, ax_v])).tolist()
         annotations = list(view.annotations)
         bbox = _segments_bbox(view.segments)
         if bbox is not None:
@@ -188,21 +192,14 @@ def annotate(
                         DimensionSet.for_span((h0, v0), (h0, v1), options.dim_offset_mm)
                     )
             if options.instance_dims:
-                annotations.extend(_instance_dims(view, model, bbox, options))
+                annotations.extend(_instance_dims(rects, bbox, options))
         if options.symbols and view.kind in (geometry.VIEW_FRONT, geometry.VIEW_SECTION):
-            annotations.extend(_symbols(view, model, catalog))
+            annotations.extend(_symbols(rects, model, catalog))
         out.append(ViewDrawing(view.kind, list(view.segments), annotations))
     return out
 
 
-def _instance_bbox(instance, kind: str) -> tuple[float, float, float, float]:
-    ax_h, ax_v = geometry.view_axes(kind)
-    corners = geometry.box_corners(instance.box)
-    hs, vs = corners[:, ax_h], corners[:, ax_v]
-    return float(hs.min()), float(vs.min()), float(hs.max()), float(vs.max())
-
-
-def _instance_dims(view, model, view_bbox, options) -> list[DimensionSet]:
+def _instance_dims(rects, view_bbox, options) -> list[DimensionSet]:
     """Dimension salient instance spans: widths above, heights to the right."""
     _, _, view_h1, view_v1 = view_bbox
     dims: list[DimensionSet] = []
@@ -210,8 +207,7 @@ def _instance_dims(view, model, view_bbox, options) -> list[DimensionSet]:
     seen_v: set[tuple[int, int]] = set()
     h_stack = 0
     v_stack = 0
-    for instance in model.instances:
-        h0, v0, h1, v1 = _instance_bbox(instance, view.kind)
+    for h0, v0, h1, v1 in rects:
         if h1 - h0 >= options.min_extent_mm:
             key = (round(h0), round(h1))
             if key not in seen_h:
@@ -229,13 +225,12 @@ def _instance_dims(view, model, view_bbox, options) -> list[DimensionSet]:
     return dims
 
 
-def _symbols(view, model, catalog: PrimitiveCatalog) -> list[SymbolMark]:
+def _symbols(rects, model, catalog: PrimitiveCatalog) -> list[SymbolMark]:
     marks: list[SymbolMark] = []
-    for instance in model.instances:
+    for instance, (h0, v0, h1, v1) in zip(model.instances, rects):
         schema = catalog.get(instance.model_id)
         if schema is None or schema.role is None:
             continue
-        h0, v0, h1, v1 = _instance_bbox(instance, view.kind)
         anchor = ((h0 + h1) / 2.0, (v0 + v1) / 2.0)
         if schema.role == ROLE_ADJUSTABLE_SHELF:
             marks.append(SymbolMark(SYMBOL_SHELF_CIRCLE, anchor))

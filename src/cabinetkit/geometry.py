@@ -212,9 +212,7 @@ def _dedupe_ring(verts: list[Point2]) -> list[Point2]:
     return out
 
 
-def pairwise_iou(
-    boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox], *, method: str = "rotated"
-) -> np.ndarray:
+def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox]) -> np.ndarray:
     """IoU of every (a, b) pair of z-rotated boxes, shape (len(a), len(b)).
 
     A pair of right-angle boxes (rotations that are multiples of 90 degrees)
@@ -223,31 +221,25 @@ def pairwise_iou(
     identical boxes score exactly 1.0. Any other pair scores its footprint
     intersection area times its z overlap (`clip_iou`); the clipping runs
     only for pairs that overlap in z and whose xy bounds are not apart by
-    more than the clipping tolerance can bridge. ``method="aabb"`` scores
-    every pair by the AABB product of its world-frame bounds, for
-    diagnostics. Pairs that only touch (zero-volume intersection) score 0,
-    exactly so when both boxes are at right angles or the touch is in z.
+    more than the clipping tolerance can bridge. Pairs that only touch
+    (zero-volume intersection) score 0, exactly so when both boxes are at
+    right angles or the touch is in z.
     """
-    if method not in ("rotated", "aabb"):
-        raise ValueError(f"unknown IoU method {method!r}")
     iou = np.zeros((len(boxes_a), len(boxes_b)))
     if iou.size == 0:
         return iou
-    lo_a, hi_a, right_a = _box_bounds(boxes_a)
-    lo_b, hi_b, right_b = _box_bounds(boxes_b)
+    lo_a, hi_a, right_a = box_bounds(boxes_a)
+    lo_b, hi_b, right_b = box_bounds(boxes_b)
     overlap = np.minimum(hi_a[:, None], hi_b[None]) - np.maximum(lo_a[:, None], lo_b[None])
     ox, oy, oz = overlap[..., 0], overlap[..., 1], overlap[..., 2]
     ext_a, ext_b = hi_a - lo_a, hi_b - lo_b
     vol_a = ext_a[:, 0] * ext_a[:, 1] * ext_a[:, 2]
     vol_b = ext_b[:, 0] * ext_b[:, 1] * ext_b[:, 2]
     inter = ox * oy * oz
-    if method == "rotated":
-        clip = ~(right_a[:, None] & right_b[None])
-    else:
-        clip = np.zeros(iou.shape, dtype=bool)
-    product = (ox > 0) & (oy > 0) & (oz > 0) & ~clip
+    right = right_a[:, None] & right_b[None]
+    product = (ox > 0) & (oy > 0) & (oz > 0) & right
     np.divide(inter, (vol_a[:, None] + vol_b[None]) - inter, out=iou, where=product)
-    if not clip.any():
+    if right.all():
         return iou
 
     # Clipping keeps vertices up to CLIP_EPS / |edge| outside each edge of
@@ -257,7 +249,7 @@ def pairwise_iou(
     edge_a = np.array([min(box.size[0], box.size[1]) for box in boxes_a])
     edge_b = np.array([min(box.size[0], box.size[1]) for box in boxes_b])
     reach = CLIP_EPS + 4.0 * CLIP_EPS / np.minimum(edge_a[:, None], edge_b[None])
-    clip &= (oz > 0) & (ox > -reach) & (oy > -reach)
+    clip = ~right & (oz > 0) & (ox > -reach) & (oy > -reach)
     rows, cols = (index.tolist() for index in np.nonzero(clip))
     feet_a = {i: box_footprint(boxes_a[i]) for i in set(rows)}
     feet_b = {j: box_footprint(boxes_b[j]) for j in set(cols)}
@@ -266,12 +258,13 @@ def pairwise_iou(
     return iou
 
 
-def _box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """World-frame AABBs as (lo, hi), each of shape (n, 3), and the right-angle mask.
 
-    A right-angle box's bounds are field arithmetic (center -/+ half size,
-    x and y swapped on odd quarter turns), which is bit-identical to its
-    footprint corners; a rotated box's xy bounds come from its corners.
+    This is the one place a box's world extent is worked out. A right-angle
+    box's bounds are field arithmetic (center -/+ half size, x and y swapped
+    on odd quarter turns), which is bit-identical to its corners; a rotated
+    box's xy bounds come from its footprint corners.
     """
     n = len(boxes)
     position = np.array([box.position for box in boxes]).reshape(n, 3)
@@ -315,23 +308,18 @@ def _clip_iou(a: OrientedBox, foot_a: list[Point2], b: OrientedBox, foot_b: list
     return inter / (vol_a + vol_b - inter)
 
 
-def iou3d(a: OrientedBox, b: OrientedBox, *, method: str = "rotated") -> float:
+def iou3d(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection-over-union of two z-rotated boxes, in [0, 1].
 
-    The 1 x 1 case of `pairwise_iou`, which defines the score and `method`.
+    The 1 x 1 case of `pairwise_iou`, which defines the score.
     """
-    return float(pairwise_iou((a,), (b,), method=method)[0, 0])
+    return float(pairwise_iou((a,), (b,))[0, 0])
 
 
 def model_aabb(model: "CabinetModel") -> tuple[np.ndarray, np.ndarray]:
     """Tight world-frame AABB over all instance boxes of a model."""
-    lo = np.full(3, np.inf)
-    hi = np.full(3, -np.inf)
-    for instance in model.instances:
-        corners = box_corners(instance.box)
-        lo = np.minimum(lo, corners.min(axis=0))
-        hi = np.maximum(hi, corners.max(axis=0))
-    return lo, hi
+    lo, hi, _ = box_bounds([instance.box for instance in model.instances])
+    return lo.min(axis=0), hi.max(axis=0)
 
 
 def project_box(box: OrientedBox, view: str) -> list[Segment]:

@@ -41,11 +41,9 @@ class Matching:
     unmatched_gt: tuple[int, ...]
 
 
-def iou_matrix(pred: CabinetModel, gt: CabinetModel, *, method: str = "rotated") -> np.ndarray:
+def iou_matrix(pred: CabinetModel, gt: CabinetModel) -> np.ndarray:
     """Pairwise IoU matrix, shape (len(pred), len(gt)); see `geometry.pairwise_iou`."""
-    return pairwise_iou(
-        [p.box for p in pred.instances], [g.box for g in gt.instances], method=method
-    )
+    return pairwise_iou([p.box for p in pred.instances], [g.box for g in gt.instances])
 
 
 def _solve_min_cost(cost: np.ndarray) -> list[int]:
@@ -105,9 +103,9 @@ def _solve_min_cost(cost: np.ndarray) -> list[int]:
     return assignment
 
 
-def match(pred: CabinetModel, gt: CabinetModel, *, iou_method: str = "rotated") -> Matching:
+def match(pred: CabinetModel, gt: CabinetModel) -> Matching:
     """Assignment maximizing total IoU; dummy pairings become unmatched."""
-    ious = iou_matrix(pred, gt, method=iou_method)
+    ious = iou_matrix(pred, gt)
     n, m = ious.shape
     size = max(n, m)
     padded = np.zeros((size, size))
@@ -199,7 +197,6 @@ def evaluate_sample(
     *,
     length_tol_mm: float = 0.0,
     retrieval_over_all_pairs: bool = False,
-    iou_method: str = "rotated",
     sample_id: str = "",
 ) -> SampleReport:
     """Evaluate one prediction; `pred=None` stands for an empty prediction.
@@ -213,7 +210,7 @@ def evaluate_sample(
     if pred is None:
         return report
 
-    matching = match(pred, gt, iou_method=iou_method)
+    matching = match(pred, gt)
     tp_pairs = [p for p in matching.pairs if p[2] > iou_thresh]
     report.tp = len(tp_pairs)
     report.fp = len(pred) - report.tp

@@ -28,14 +28,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import geometry, ryaml
-from .catalog import ParamValue, PrimitiveCatalog, validate_params
+from .catalog import NK_KEY_RE, PARAM_KEY_RE, ParamValue, PrimitiveCatalog, validate_params
 from .diagnostics import Diagnostic, SourceSpan, error, has_errors, warning
 from .geometry import BoxError, OrientedBox
 
 MAX_INSTANCES = 48
 SIZE_FILTER_MM = (100.0, 4500.0)
-
-_PARAM_KEY_RE = re.compile(r"^[A-Z][A-Z0-9]*$")
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,6 @@ class CabinetModel:
 
     def __len__(self) -> int:
         return len(self.instances)
-
-    def aabb(self):
-        return geometry.model_aabb(self)
 
 
 def make_instance(
@@ -439,7 +434,7 @@ def _parse_primitive(
                     ref,
                 )
         else:
-            if not _PARAM_KEY_RE.match(name):
+            if not PARAM_KEY_RE.match(name):
                 raise _SyntaxError(
                     f"parameter key {name!r} must match [A-Z][A-Z0-9]*", key
                 )
@@ -612,7 +607,7 @@ def _instance_from_yaml(
             ok = False
         else:
             for key, value_node in params_node.pairs.items():
-                if not _PARAM_KEY_RE.match(key):
+                if not PARAM_KEY_RE.match(key):
                     diags.append(
                         error(
                             "syntax",
@@ -639,8 +634,8 @@ def _instance_from_yaml(
         return None
     try:
         box = OrientedBox(position=position, size=size, rotation_deg=rotation)
-    except ValueError as exc:
-        diags.append(error("syntax", str(exc), _span_of(entry)))
+    except BoxError as exc:
+        diags.append(error("syntax", str(exc), _span_of(entry.get(exc.argument))))
         return None
 
     instance = _finish_instance(
@@ -731,6 +726,8 @@ def validate(
     Returns all violations as diagnostics; an empty list means valid.
     """
     diags: list[Diagnostic] = []
+    lo, hi, _ = geometry.box_bounds([instance.box for instance in model.instances])
+    lowest = lo.min(axis=1).tolist()
     for index, instance in enumerate(model.instances):
         schema = catalog.get(instance.model_id)
         if schema is None:
@@ -746,13 +743,12 @@ def validate(
                     Diagnostic(diag.severity, diag.code, f"instance {index}: {diag.message}")
                 )
             diags.extend(_check_width_closure(index, instance, schema, catalog))
-        corners = geometry.box_corners(instance.box)
-        if corners.min() < -geometry.OCTANT_EPS:
+        if lowest[index] < -geometry.OCTANT_EPS:
             diags.append(
                 error(
                     "octant",
                     f"instance {index}: box extends outside the first octant "
-                    f"(min corner coordinate {corners.min():.6f} mm)",
+                    f"(min corner coordinate {lowest[index]:.6f} mm)",
                 )
             )
 
@@ -765,8 +761,7 @@ def validate(
                     f"filter allows at most {MAX_INSTANCES}",
                 )
             )
-        lo, hi = geometry.model_aabb(model)
-        max_dim = float((hi - lo).max())
+        max_dim = float((hi.max(axis=0) - lo.min(axis=0)).max())
         if not SIZE_FILTER_MM[0] <= max_dim <= SIZE_FILTER_MM[1]:
             diags.append(
                 error(
@@ -782,7 +777,7 @@ def _check_width_closure(index, instance, schema, catalog) -> list[Diagnostic]:
     """Warn when divided-space widths plus dividers exceed the box interior."""
     nk_values = [
         v for k, v in instance.params.items()
-        if re.match(r"^NK[A-Z]$", k) and isinstance(v, (int, float)) and not isinstance(v, bool)
+        if NK_KEY_RE.match(k) and isinstance(v, (int, float)) and not isinstance(v, bool)
     ]
     if not nk_values or schema.schema_for("N") is None:
         return []

@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import PrimitiveCatalog, builtin_catalog
 from .geometry import OrientedBox, model_aabb
-from .program import CabinetModel, PrimitiveInstance, make_instance
+from .program import MAX_INSTANCES, SIZE_FILTER_MM, CabinetModel, PrimitiveInstance, make_instance
 
 # Keep every corner at least this far from the world origin so that decoded
 # (quantization-shifted) boxes still sit inside the first octant.
@@ -56,17 +56,17 @@ class SynthSpec:
     """Generator configuration; ranges must stay inside the dataset filters."""
 
     seed: int = 0
-    count_range: tuple[int, int] = (1, 48)
-    size_range_mm: tuple[float, float] = (100.0, 4500.0)
+    count_range: tuple[int, int] = (1, MAX_INSTANCES)
+    size_range_mm: tuple[float, float] = SIZE_FILTER_MM
     perturb: PerturbSpec | None = None
 
     def __post_init__(self) -> None:
         lo, hi = self.count_range
-        if not 1 <= lo <= hi <= 48:
-            raise ValueError("count_range must lie within [1, 48]")
+        if not 1 <= lo <= hi <= MAX_INSTANCES:
+            raise ValueError(f"count_range must lie within [1, {MAX_INSTANCES}]")
         slo, shi = self.size_range_mm
-        if not 100.0 <= slo <= shi <= 4500.0:
-            raise ValueError("size_range_mm must lie within [100, 4500]")
+        if not SIZE_FILTER_MM[0] <= slo <= shi <= SIZE_FILTER_MM[1]:
+            raise ValueError("size_range_mm must lie within [%g, %g]" % SIZE_FILTER_MM)
 
 
 def generate(spec: SynthSpec, catalog: PrimitiveCatalog | None = None) -> CabinetModel:

@@ -26,6 +26,18 @@ def corpus_dir(tmp_path):
     return out
 
 
+def _copy_with_non_utf8(corpus_dir, out_dir, index):
+    """A copy of the corpus whose sample `index` holds a byte that is not UTF-8."""
+    out_dir.mkdir()
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    for sample in manifest["samples"]:
+        (out_dir / sample["file"]).write_bytes((corpus_dir / sample["file"]).read_bytes())
+    broken = out_dir / manifest["samples"][index]["file"]
+    broken.write_bytes(b"\xff" + broken.read_bytes())
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    return out_dir
+
+
 class TestExitCodes:
     def test_valid_file_exits_zero(self, model_file, capsys):
         assert run("validate", model_file, "--filters") == 0
@@ -132,6 +144,13 @@ class TestSynthAndStats:
         assert data["n_models"] == 4
         assert all(0 <= int(k) <= 8 for k in data["params_per_primitive"])
 
+    def test_stats_skips_non_utf8_file(self, corpus_dir, tmp_path, capsys):
+        broken = _copy_with_non_utf8(corpus_dir, tmp_path / "c", index=0)
+        assert run("stats", "--in", broken) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["n_models"] == 3
+        assert captured.err == "sample '000000' failed to parse; skipping\n"
+
     def test_yaml_corpus(self, tmp_path):
         out = tmp_path / "y"
         assert run("synth", "--seed", 3, "--count", 2, "--out", out, "--format", "yaml") == 0
@@ -236,6 +255,15 @@ class TestEval:
         ]
         assert captured.out == ""
         assert not out.exists()
+
+    def test_non_utf8_prediction_counts_as_parse_failure(self, corpus_dir, tmp_path, capsys):
+        pred_dir = _copy_with_non_utf8(corpus_dir, tmp_path / "pred", index=1)
+        out = tmp_path / "report.json"
+        assert run("eval", "--pred", pred_dir, "--gt", corpus_dir, "--out", out) == 0
+        report = json.loads(out.read_text())
+        assert report["parse_failures"] == 1
+        assert [s["parse_failed"] for s in report["samples"]] == [False, True, False, False]
+        assert "parse failures: 1" in capsys.readouterr().out
 
     def test_jobs_option_is_gone(self, corpus_dir):
         with pytest.raises(SystemExit) as err:

@@ -5,8 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cabinetkit import CabinetModel, OrientedBox, make_instance
+from cabinetkit import (
+    AnnotateOptions,
+    CabinetModel,
+    OrientedBox,
+    annotate,
+    make_instance,
+    render_views,
+    validate,
+)
+from cabinetkit import geometry
 from cabinetkit.geometry import (
+    OCTANT_EPS,
+    box_bounds,
     box_corners,
     box_footprint,
     clip_convex,
@@ -156,7 +167,6 @@ class TestIoU:
         a = random_box(rng, rotations=(0, 90, 180, 270))
         b = random_box(rng, rotations=(0, 90, 180, 270))
         assert abs(iou3d(a, b) - aabb_iou_oracle(a, b)) <= 1e-9
-        assert abs(iou3d(a, b, method="aabb") - aabb_iou_oracle(a, b)) <= 1e-9
 
     def test_monotone_shrink(self):
         rng = np.random.default_rng(5)
@@ -228,19 +238,16 @@ class TestPairwiseIoU:
         pred = _boxes(rng, rotations, int(rng.integers(1, 10)))
         pred += _neighbours(rng, pred[0])
         gt = _boxes(rng, rotations, int(rng.integers(1, 10))) + pred[:2]
-        for method in ("rotated", "aabb"):
-            matrix = iou_matrix(_model(catalog, pred), _model(catalog, gt), method=method)
-            assert matrix.shape == (len(pred), len(gt))
-            assert ((matrix >= 0.0) & (matrix <= 1.0)).all()
-            for i, a in enumerate(pred):
-                for j, b in enumerate(gt):
-                    assert matrix[i, j] == iou3d(a, b, method=method)
-                    if method == "aabb":
-                        continue
-                    if _right_angle(a) and _right_angle(b):
-                        assert abs(matrix[i, j] - aabb_iou_oracle(a, b)) <= 1e-12
-                    else:
-                        assert matrix[i, j] == clip_iou(a, b)
+        matrix = iou_matrix(_model(catalog, pred), _model(catalog, gt))
+        assert matrix.shape == (len(pred), len(gt))
+        assert ((matrix >= 0.0) & (matrix <= 1.0)).all()
+        for i, a in enumerate(pred):
+            for j, b in enumerate(gt):
+                assert matrix[i, j] == iou3d(a, b)
+                if _right_angle(a) and _right_angle(b):
+                    assert abs(matrix[i, j] - aabb_iou_oracle(a, b)) <= 1e-12
+                else:
+                    assert matrix[i, j] == clip_iou(a, b)
 
     def test_xy_prefilter_keeps_what_clipping_bridges(self):
         # A box tilted by a hair, its corner within the clipping tolerance
@@ -272,19 +279,13 @@ class TestPairwiseIoU:
             box((100, 200, 390), (40, 60, 100), rotation),
         ]
         assert (pairwise_iou([a], touching) == 0.0).all()
-        assert (pairwise_iou(touching, [a], method="aabb") == 0.0).all()
+        assert (pairwise_iou(touching, [a]) == 0.0).all()
 
     def test_empty_sides(self):
         boxes = [box((0, 0, 0), (1, 1, 1)), box((5, 0, 0), (1, 1, 1), 30)]
-        for method in ("rotated", "aabb"):
-            assert pairwise_iou([], boxes, method=method).shape == (0, 2)
-            assert pairwise_iou(boxes, [], method=method).shape == (2, 0)
-            assert pairwise_iou([], [], method=method).shape == (0, 0)
-
-    def test_unknown_method_rejected(self):
-        a = box((0, 0, 0), (1, 1, 1))
-        with pytest.raises(ValueError, match="unknown IoU method"):
-            iou3d(a, a, method="obb")
+        assert pairwise_iou([], boxes).shape == (0, 2)
+        assert pairwise_iou(boxes, []).shape == (2, 0)
+        assert pairwise_iou([], []).shape == (0, 0)
 
     @pytest.mark.parametrize("size", [1e-10, 1e-4])
     @pytest.mark.parametrize("rotation", RIGHT_ANGLES)
@@ -293,7 +294,6 @@ class TestPairwiseIoU:
         for position in ((0, 0, 0), (1, 2, 3), (250.5, 100.25, 30), (1000, 2000, 500)):
             b = box(position, (size, 2 * size, 3 * size), rotation)
             assert iou3d(b, b) == 1.0
-            assert iou3d(b, b, method="aabb") == 1.0
 
 
 class TestProjection:
@@ -372,3 +372,71 @@ class TestModelAabb:
         corners = np.vstack([box_corners(inst.box) for inst in model.instances])
         assert np.allclose(lo, corners.min(axis=0))
         assert np.allclose(hi, corners.max(axis=0))
+
+
+QUARTER_TURNS = st.sampled_from([0.0, 90.0, 180.0, 270.0, -90.0, 450.0])
+SMALL_TILTS = st.floats(1.0, 12.0) | st.floats(-12.0, -1.0)  # as in eval-dense-rotated
+
+
+@st.composite
+def bounded_boxes(draw, positions=st.floats(-1e7, 1e7)):
+    """Boxes at quarter turns, small tilts and any angle, from tiny to large."""
+    size = st.floats(1e-9, 1e-3) | st.floats(1e-3, 1e4) | st.floats(1e4, 1e7)
+    rotation = draw(QUARTER_TURNS | SMALL_TILTS | st.floats(-720.0, 720.0))
+    return OrientedBox(
+        (draw(positions), draw(positions), draw(positions)),
+        (draw(size), draw(size), draw(size)),
+        rotation,
+    )
+
+
+def _corner_bounds(boxes):
+    """`box_bounds` by enumerating each box's 8 corners: the reference."""
+    corners = [box_corners(b) for b in boxes]
+    lo = np.array([c.min(axis=0) for c in corners]).reshape(len(boxes), 3)
+    hi = np.array([c.max(axis=0) for c in corners]).reshape(len(boxes), 3)
+    right = np.array([b.rotation_deg % 90.0 == 0.0 for b in boxes], dtype=bool)
+    return lo, hi, right
+
+
+class TestBoxBounds:
+    """`box_bounds`, and everything built on it, against corner enumeration."""
+
+    @given(st.lists(bounded_boxes(), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_corner_enumeration_bit_for_bit(self, boxes):
+        lo, hi, right = box_bounds(boxes)
+        ref_lo, ref_hi, ref_right = _corner_bounds(boxes)
+        assert lo.tobytes() == ref_lo.tobytes()
+        assert hi.tobytes() == ref_hi.tobytes()
+        assert (right == ref_right).all()
+
+    @given(st.lists(bounded_boxes(positions=st.floats(-300.0, 3000.0)), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_models_match_corner_enumeration(self, catalog, boxes):
+        model = _model(catalog, boxes)
+        corners = np.vstack([box_corners(b) for b in boxes])
+        lo, hi = model_aabb(model)
+        assert lo.tobytes() == corners.min(axis=0).tobytes()
+        assert hi.tobytes() == corners.max(axis=0).tobytes()
+
+        expected = [
+            f"instance {index}: box extends outside the first octant "
+            f"(min corner coordinate {box_corners(b).min():.6f} mm)"
+            for index, b in enumerate(boxes)
+            if box_corners(b).min() < -OCTANT_EPS
+        ]
+        octant = [d.message for d in validate(model, catalog) if d.code == "octant"]
+        assert octant == expected
+
+    @given(st.lists(bounded_boxes(positions=st.floats(0.0, 3000.0)), min_size=1, max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_annotate_matches_corner_enumeration(self, catalog, boxes):
+        model = _model(catalog, boxes)
+        views = render_views(model, ["front", "top", "side", "section"])
+        options = AnnotateOptions(min_extent_mm=1e-9)  # dimension every instance
+        annotated = annotate(views, model, catalog, options)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "box_bounds", _corner_bounds)
+            reference = annotate(views, model, catalog, options)
+        assert annotated == reference

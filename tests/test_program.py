@@ -334,14 +334,32 @@ class TestTotality:
              "rotation=", "rotation must be finite"),
             (f"rotation={HUGE}, position=(1, 1, 1), size=(1, 1, 1)",
              "rotation=", "rotation must be finite"),
+            # YAML entries: "key: " is the argument, and the span starts
+            # at the node after it (a flow "[", a block "-" or the number).
+            (f"position: [{HUGE}, 1, 1]\n  size: [1, 1, 1]\n  rotation: 0",
+             "position: ", "box coordinates must be finite"),
+            ("position: [1, 1, 1]\n  size: [1, -1, 1]\n  rotation: 0",
+             "size: ", "box size components must be positive, got (1.0, -1.0, 1.0)"),
+            ("rotation: 0\n  position: [1, 1, 1]\n  size:\n  - 1\n  - 0\n  - 1",
+             "size:\n  ", "box size components must be positive, got (1.0, 0.0, 1.0)"),
+            (f"position: [1, 1, 1]\n  size: [{BIG}, {BIG}, 1]\n  rotation: 0",
+             "size: ", "box volume must be finite"),
+            (f"position: [1, 1, 1]\n  size: [1, 1, 1]\n  rotation: {HUGE}",
+             "rotation: ", "rotation must be finite"),
         ],
     )
     def test_box_rejection_points_at_the_argument(self, catalog, box_args, argument, message):
-        text = f"b0 = Box({box_args})\n" 'm0 = Model(id="M-DOOR", box=b0)\n'
-        [diag] = parse_python(text, catalog).diagnostics
+        if argument.endswith("="):
+            text = f"b0 = Box({box_args})\n" 'm0 = Model(id="M-DOOR", box=b0)\n'
+            [diag] = parse_python(text, catalog).diagnostics
+        else:
+            text = f"cabinet:\n- id: M-DOOR\n  {box_args}\n"
+            [diag] = parse_yaml(text, catalog).diagnostics
         assert (diag.severity, diag.code, diag.message) == ("error", "syntax", message)
         offset = text.index(argument) + len(argument)  # the vector's "(" or the number
-        assert (diag.span.line, diag.span.column, diag.span.offset) == (1, offset + 1, offset)
+        line = text.count("\n", 0, offset) + 1
+        column = offset - (text.rfind("\n", 0, offset) + 1) + 1
+        assert (diag.span.line, diag.span.column, diag.span.offset) == (line, column, offset)
 
     OVERFLOW = "9" * 400 + ".0"
 
