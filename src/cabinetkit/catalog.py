@@ -325,8 +325,7 @@ def _require_str(node: ryaml.MapNode, key: str, context: str = "") -> str:
 def save_catalog(catalog: PrimitiveCatalog) -> str:
     """Serialize back to the catalog file format (load -> save -> load identity)."""
     lines = [f"version: {ryaml.format_string(catalog.version)}"]
-    divider = catalog.divider_thickness_mm
-    lines.append(f"divider_thickness_mm: {ryaml.format_scalar(_plain_number(divider))}")
+    lines.append(f"divider_thickness_mm: {ryaml.format_box_number(catalog.divider_thickness_mm)}")
     lines.append("catalog:")
     for schema in catalog:
         lines.append(f"- id: {ryaml.format_string(schema.model_id)}")
@@ -346,10 +345,6 @@ def save_catalog(catalog: PrimitiveCatalog) -> str:
                 if param.description:
                     lines.append(f"    description: {ryaml.format_string(param.description)}")
     return "\n".join(lines) + "\n"
-
-
-def _plain_number(value: float) -> int | float:
-    return int(value) if value == int(value) else value
 
 
 _BUILTIN: PrimitiveCatalog | None = None

@@ -115,18 +115,11 @@ def parse_file(
     return parse(data, catalog, strict)
 
 
-def load_entry(
-    base: Path, entry: CorpusEntry, catalog: PrimitiveCatalog, *, strict: bool = False
-) -> ParseResult:
-    return parse_file(base / entry.path, entry.format, catalog, strict)
+def load_entry(base: Path, entry: CorpusEntry, catalog: PrimitiveCatalog) -> ParseResult:
+    return parse_file(base / entry.path, entry.format, catalog)
 
 
-def read_corpus(
-    path: str | Path, catalog: PrimitiveCatalog, *, strict: bool = False
-) -> list[tuple[str, ParseResult]]:
+def read_corpus(path: str | Path, catalog: PrimitiveCatalog) -> list[tuple[str, ParseResult]]:
     """Load every sample of a corpus, in manifest order."""
     base, entries = read_manifest(path)
-    return [
-        (entry.sample_id, load_entry(base, entry, catalog, strict=strict))
-        for entry in entries
-    ]
+    return [(entry.sample_id, load_entry(base, entry, catalog)) for entry in entries]

@@ -98,14 +98,7 @@ class ParseResult:
 
 
 # ---------------------------------------------------------------------------
-# Number formatting shared by both emitters (the digits come from ryaml).
-
-
-def format_box_number(value: float) -> str:
-    """Minimal-digit rendering of a pose/size coordinate (always float-valued)."""
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return ryaml.format_positional(value)
+# Parameter rendering shared by both emitters (the digits come from ryaml).
 
 
 def format_param_value(value: ParamValue, *, quote) -> str:
@@ -511,9 +504,9 @@ def emit_python(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
     """Deterministic Python-style emission; two statements per primitive."""
     lines: list[str] = []
     for k, instance in enumerate(model.instances):
-        px, py, pz = (format_box_number(c) for c in instance.box.position)
-        sx, sy, sz = (format_box_number(c) for c in instance.box.size)
-        rot = format_box_number(instance.box.rotation_deg)
+        px, py, pz = (ryaml.format_box_number(c) for c in instance.box.position)
+        sx, sy, sz = (ryaml.format_box_number(c) for c in instance.box.size)
+        rot = ryaml.format_box_number(instance.box.rotation_deg)
         lines.append(
             f"box_{k} = Box(position=({px}, {py}, {pz}), "
             f"size=({sx}, {sy}, {sz}), rotation={rot})"
@@ -691,11 +684,11 @@ def emit_yaml(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
             lines.append(f"  name: {ryaml.format_string(instance.name)}")
         lines.append("  position:")
         for component in instance.box.position:
-            lines.append(f"  - {format_box_number(component)}")
+            lines.append(f"  - {ryaml.format_box_number(component)}")
         lines.append("  size:")
         for component in instance.box.size:
-            lines.append(f"  - {format_box_number(component)}")
-        lines.append(f"  rotation: {format_box_number(instance.box.rotation_deg)}")
+            lines.append(f"  - {ryaml.format_box_number(component)}")
+        lines.append(f"  rotation: {ryaml.format_box_number(instance.box.rotation_deg)}")
         if instance.params:
             lines.append("  params:")
             for key, value in instance.params.items():

@@ -4,7 +4,8 @@ Supports exactly what the toolkit's file formats need, deterministically:
 block mappings, block sequences, flow sequences of scalars, plain scalars
 (int / decimal / string), and quoted strings. Anchors, aliases, tags, flow
 mappings, block scalars, and multi-document streams are rejected. Every
-node carries a source span so callers can report precise diagnostics.
+node carries a source span so callers can report precise diagnostics. The
+lexical rules are listed in docs/formats.md.
 
 Scalars are rendered here (`format_*`), so that every format writes numbers
 and strings the same way; the layout of emitted documents is left to each
@@ -26,7 +27,6 @@ from .diagnostics import SourceSpan
 #: With a decimal point it is a float, without one an int.
 NUMBER_PATTERN = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)"
 _NUMBER_RE = re.compile(NUMBER_PATTERN)
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 
 # Leading characters of YAML features outside the subset.
 _UNSUPPORTED_LEAD = {
@@ -106,12 +106,40 @@ def loads(text: str):
     return to_plain(parse(text))
 
 
+#: A quoted scalar: double-quoted with backslash escapes, or single-quoted
+#: with ``''`` for a quote (so ``'x''`` is still open). This one rule decides
+#: where comments start and where quoted scalars and quoted flow items end.
+_QUOTED = r'"[^"\\]*(?:\\.[^"\\]*)*"|\'[^\']*(?:\'\'[^\']*)*\'(?!\')'
+_QUOTED_RE = re.compile(_QUOTED)
+# What a line holds before its comment. A comment is a `#` outside quotes
+# that opens the line or follows a space or tab; an unclosed quote runs to
+# the end of the line.
+_CONTENT_RE = re.compile(rf"(?:{_QUOTED}|[\"'].*|[^\"'#]+|(?<=[^ \t])#)*")
+# One flow-sequence item, up to the next comma outside its leading quote.
+_FLOW_ITEM_RE = re.compile(rf"\s*(?:{_QUOTED})?[^,]*")
+_ENTRY_RE = re.compile(r"-(?: +|\Z)")
+# ``key: value`` or ``key:``; the match ends where the inline value starts.
+_KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_.\-]*):(?: \s*|\Z)")
+_ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
 @dataclass
 class _Line:
+    """One record of the document, classified once when it is read.
+
+    A ``- rest`` line gives two records: the entry, and `rest` anchored at
+    its own column, so a mapping that starts after the dash continues on
+    the lines below at that column.
+    """
+
     indent: int
     text: str
     line_no: int
     offset: int  # char offset of the first content character
+    entry: bool = False  # a sequence entry: ``- ...`` or ``-``
+    key: str | None = None  # the key of a ``key: value`` or ``key:`` record
+    value: int | None = 0  # where the inline value starts in `text`; None if absent
 
     def span(self, start: int = 0, length: int | None = None) -> SourceSpan:
         if length is None:
@@ -119,24 +147,12 @@ class _Line:
         return SourceSpan(self.line_no, self.indent + start + 1, self.offset + start, length)
 
 
-def _strip_comment(line: str) -> str:
-    """Drop a trailing comment; ``#`` must be preceded by whitespace and unquoted."""
-    quote: str | None = None
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if quote is not None:
-            if quote == '"' and ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-        elif ch in ('"', "'"):
-            quote = ch
-        elif ch == "#" and (i == 0 or line[i - 1] in " \t"):
-            return line[:i]
-        i += 1
-    return line
+def _record(indent: int, text: str, line_no: int, offset: int) -> _Line:
+    key = _KEY_RE.match(text)
+    if key is None:
+        return _Line(indent, text, line_no, offset)
+    value = key.end() if key.end() < len(text) else None
+    return _Line(indent, text, line_no, offset, key=key[1], value=value)
 
 
 def _logical_lines(text: str) -> list[_Line]:
@@ -146,19 +162,26 @@ def _logical_lines(text: str) -> list[_Line]:
         line = raw.rstrip("\r")
         stripped = line.lstrip(" ")
         indent = len(line) - len(stripped)
-        if "\t" in line[:indent] or stripped.startswith("\t"):
+        if stripped.startswith("\t"):
             raise RYamlError(
                 "tab characters are not allowed in indentation",
                 SourceSpan(line_no, 1, offset, 1),
             )
-        content = _strip_comment(stripped).rstrip()
+        content = _CONTENT_RE.match(stripped)[0].rstrip()
         if content == "---" or content == "...":
             raise RYamlError(
                 "multi-document streams are not supported",
                 SourceSpan(line_no, indent + 1, offset + indent, 3),
             )
-        if content:
-            out.append(_Line(indent, content, line_no, offset + indent))
+        start = offset + indent
+        entry = _ENTRY_RE.match(content)
+        if entry is not None:
+            out.append(_Line(indent, content, line_no, start, entry=True, value=None))
+            col = entry.end()
+            if col < len(content):
+                out.append(_record(indent + col, content[col:], line_no, start + col))
+        elif content:
+            out.append(_record(indent, content, line_no, start))
         offset += len(raw) + 1
     return out
 
@@ -176,13 +199,12 @@ class _Parser:
         if line is None or line.indent < min_indent:
             span = line.span() if line else SourceSpan(1, 1, 0, 0)
             raise RYamlError("expected a value", span)
-        if line.text.startswith("- ") or line.text == "-":
+        if line.entry:
             return self._parse_sequence(line.indent)
-        if _split_key(line.text) is not None:
+        if line.key is not None:
             return self._parse_mapping(line.indent)
-        node = self._parse_inline(line, 0)
         self.pos += 1
-        return node
+        return _parse_inline(line)
 
     def _parse_mapping(self, indent: int) -> MapNode:
         first = self.peek()
@@ -195,32 +217,25 @@ class _Parser:
                 break
             if line.indent > indent:
                 raise RYamlError("unexpected indentation", line.span())
-            if line.text.startswith("- ") or line.text == "-":
+            if line.entry:
                 break
-            split = _split_key(line.text)
-            if split is None:
+            key = line.key
+            if key is None:
                 raise RYamlError("expected 'key: value'", line.span())
-            key, rest = split
             if key in pairs:
                 raise RYamlError(f"duplicate key {key!r}", line.span(0, len(key)))
             key_spans[key] = line.span(0, len(key))
-            if rest:
-                rest_col = len(line.text) - len(rest)
-                pairs[key] = self._parse_inline(line, rest_col)
-                self.pos += 1
+            self.pos += 1
+            if line.value is not None:
+                pairs[key] = _parse_inline(line)
+                continue
+            nxt = self.peek()
+            if nxt is not None and nxt.indent > indent:
+                pairs[key] = self.parse_node(indent + 1)
+            elif nxt is not None and nxt.indent == indent and nxt.entry:
+                pairs[key] = self._parse_sequence(indent)
             else:
-                self.pos += 1
-                nxt = self.peek()
-                if nxt is not None and nxt.indent > indent:
-                    pairs[key] = self.parse_node(indent + 1)
-                elif (
-                    nxt is not None
-                    and nxt.indent == indent
-                    and (nxt.text.startswith("- ") or nxt.text == "-")
-                ):
-                    pairs[key] = self._parse_sequence(indent)
-                else:
-                    raise RYamlError(f"missing value for key {key!r}", line.span())
+                raise RYamlError(f"missing value for key {key!r}", line.span())
         return MapNode(pairs, key_spans, first.span(0, 1))
 
     def _parse_sequence(self, indent: int) -> SeqNode:
@@ -233,99 +248,78 @@ class _Parser:
                 break
             if line.indent > indent:
                 raise RYamlError("unexpected indentation", line.span())
-            if not (line.text.startswith("- ") or line.text == "-"):
+            if not line.entry:
                 break
-            rest = line.text[2:] if line.text.startswith("- ") else ""
-            rest = rest.lstrip(" ")
-            if not rest:
-                self.pos += 1
-                items.append(self.parse_node(indent + 1))
-                continue
-            rest_col = len(line.text) - len(rest)
-            if _split_key(rest) is not None:
-                # Inline mapping start: re-anchor the remainder as its own line
-                # so the mapping parser picks up the following keys at the same
-                # column.
-                self.lines[self.pos] = _Line(
-                    line.indent + rest_col, rest, line.line_no, line.offset + rest_col
-                )
-                items.append(self._parse_mapping(line.indent + rest_col))
-            else:
-                items.append(self._parse_inline(line, rest_col))
-                self.pos += 1
+            self.pos += 1
+            items.append(self.parse_node(indent + 1))
         return SeqNode(items, first.span(0, 1))
 
-    def _parse_inline(self, line: _Line, start: int) -> Node:
-        text = line.text[start:]
-        if text.startswith("["):
-            return self._parse_flow_seq(line, start)
-        value, consumed = _parse_scalar_token(text, line, start)
-        trailing = text[consumed:].strip()
-        if trailing:
-            raise RYamlError(
-                "unexpected trailing content", line.span(start + consumed)
-            )
-        return value
 
-    def _parse_flow_seq(self, line: _Line, start: int) -> SeqNode:
-        text = line.text[start:]
-        if not text.endswith("]"):
-            raise RYamlError("unterminated flow sequence", line.span(start))
-        inner = text[1:-1]
-        items: list[Node] = []
-        if inner.strip():
-            cursor = 1  # position within `text`
-            for piece in inner.split(","):
-                stripped = piece.strip()
-                if not stripped:
-                    raise RYamlError("empty flow sequence element", line.span(start + cursor))
-                if "[" in stripped:
-                    raise RYamlError(
-                        "nested flow sequences are not supported",
-                        line.span(start + cursor),
-                    )
-                lead = len(piece) - len(piece.lstrip())
-                node, consumed = _parse_scalar_token(
-                    stripped, line, start + cursor + lead
+def _parse_inline(line: _Line) -> Node:
+    """The value of a record that holds one inline: a scalar or a flow sequence."""
+    start = line.value
+    assert start is not None
+    text = line.text[start:]
+    if text.startswith("["):
+        return _parse_flow_seq(line, start)
+    value, consumed = _parse_scalar_token(text, line, start)
+    if text[consumed:].strip():
+        raise RYamlError("unexpected trailing content", line.span(start + consumed))
+    return value
+
+
+def _parse_flow_seq(line: _Line, start: int) -> SeqNode:
+    text = line.text[start:]
+    if not text.endswith("]"):
+        raise RYamlError("unterminated flow sequence", line.span(start))
+    items: list[Node] = []
+    if text[1:-1].strip():
+        cursor = 1  # position within `text`
+        while cursor < len(text):
+            piece = _FLOW_ITEM_RE.match(text, cursor, len(text) - 1)[0]
+            stripped = piece.strip()
+            if not stripped:
+                raise RYamlError("empty flow sequence element", line.span(start + cursor))
+            if "[" in stripped and stripped[0] not in "\"'":
+                raise RYamlError(
+                    "nested flow sequences are not supported",
+                    line.span(start + cursor),
                 )
-                if consumed != len(stripped):
-                    raise RYamlError(
-                        "unexpected content in flow sequence",
-                        line.span(start + cursor + lead + consumed),
-                    )
-                items.append(node)
-                cursor += len(piece) + 1
-        return SeqNode(items, line.span(start, len(text)))
-
-
-def _split_key(text: str) -> tuple[str, str] | None:
-    """Split ``key: value`` / ``key:``; None when the line is not a mapping entry."""
-    colon = text.find(":")
-    if colon <= 0:
-        return None
-    key = text[:colon]
-    if not _KEY_RE.match(key):
-        return None
-    rest = text[colon + 1 :]
-    if rest and not rest.startswith(" "):
-        return None
-    return key, rest.strip()
+            lead = len(piece) - len(piece.lstrip())
+            node, consumed = _parse_scalar_token(stripped, line, start + cursor + lead)
+            if consumed != len(stripped):
+                raise RYamlError(
+                    "unexpected content in flow sequence",
+                    line.span(start + cursor + lead + consumed),
+                )
+            items.append(node)
+            cursor += len(piece) + 1
+    return SeqNode(items, line.span(start, len(text)))
 
 
 def _parse_scalar_token(text: str, line: _Line, start: int) -> tuple[ScalarNode, int]:
     """Parse one scalar at the start of `text`; returns (node, chars consumed)."""
-    if not text:
-        raise RYamlError("expected a scalar", line.span(start))
     lead = text[0]
     if lead in _UNSUPPORTED_LEAD:
         raise RYamlError(
             f"{_UNSUPPORTED_LEAD[lead]}s are not supported by this YAML subset",
             line.span(start),
         )
-    if lead == '"':
-        return _parse_double_quoted(text, line, start)
-    if lead == "'":
-        return _parse_single_quoted(text, line, start)
+    if lead in "\"'":
+        quoted = _QUOTED_RE.match(text)
+        body = text[1 : quoted.end() - 1] if quoted else text[1:]
+        if lead == "'":
+            value = body.replace("''", "'")
+        else:
+            for escape in _ESCAPE_RE.finditer(body):
+                if escape[1] not in _ESCAPES:
+                    raise RYamlError(
+                        f"unknown escape \\{escape[1]}", line.span(start + 1 + escape.start(), 2)
+                    )
+            value = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], body)
+        if quoted is None:
+            raise RYamlError("unterminated string", line.span(start))
+        return ScalarNode(value, line.span(start, quoted.end())), quoted.end()
     token = text.strip()
     span = line.span(start, len(token))
     if _NUMBER_RE.fullmatch(token):
@@ -334,48 +328,6 @@ def _parse_scalar_token(text: str, line: _Line, start: int) -> tuple[ScalarNode,
         except ValueError as exc:
             raise RYamlError(str(exc), span) from None
     return ScalarNode(token, span), len(text)
-
-
-def _parse_double_quoted(text: str, line: _Line, start: int) -> tuple[ScalarNode, int]:
-    out: list[str] = []
-    i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text):
-                break
-            esc = text[i + 1]
-            if esc == "n":
-                out.append("\n")
-            elif esc == "t":
-                out.append("\t")
-            elif esc in ('"', "\\"):
-                out.append(esc)
-            else:
-                raise RYamlError(f"unknown escape \\{esc}", line.span(start + i, 2))
-            i += 2
-            continue
-        if ch == '"':
-            return ScalarNode("".join(out), line.span(start, i + 1)), i + 1
-        out.append(ch)
-        i += 1
-    raise RYamlError("unterminated string", line.span(start))
-
-
-def _parse_single_quoted(text: str, line: _Line, start: int) -> tuple[ScalarNode, int]:
-    out: list[str] = []
-    i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < len(text) and text[i + 1] == "'":
-                out.append("'")
-                i += 2
-                continue
-            return ScalarNode("".join(out), line.span(start, i + 1)), i + 1
-        out.append(ch)
-        i += 1
-    raise RYamlError("unterminated string", line.span(start))
 
 
 def read_number(token: str) -> int | float:
@@ -414,6 +366,13 @@ def format_float(value: float) -> str:
     return text if "." in text else text + ".0"
 
 
+def format_box_number(value: float) -> str:
+    """Minimal-digit rendering of a float-valued coordinate, angle or length."""
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return format_positional(value)
+
+
 def format_positional(value: float) -> str:
     """Shortest decimal that reads back as exactly `value`, with no exponent."""
     if not math.isfinite(value):
@@ -421,14 +380,14 @@ def format_positional(value: float) -> str:
     return format(Decimal(repr(value)), "f")
 
 
-_PLAIN_SAFE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.\- ]*$")
+_PLAIN_SAFE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\- ]*")
 _WORDY = {"true", "false", "null", "yes", "no", "on", "off"}
 
 
 def format_string(value: str) -> str:
     """Emit plain when unambiguous, double-quoted otherwise."""
     if (
-        _PLAIN_SAFE_RE.match(value)
+        _PLAIN_SAFE_RE.fullmatch(value)
         and not value.endswith(" ")
         and value.lower() not in _WORDY
     ):

@@ -58,7 +58,6 @@ class SynthSpec:
     seed: int = 0
     count_range: tuple[int, int] = (1, MAX_INSTANCES)
     size_range_mm: tuple[float, float] = SIZE_FILTER_MM
-    perturb: PerturbSpec | None = None
 
     def __post_init__(self) -> None:
         lo, hi = self.count_range

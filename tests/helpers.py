@@ -3,8 +3,21 @@
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cabinetkit import CabinetModel, OrientedBox, make_instance
+
+
+def awkward_text(min_size: int = 0):
+    """Text that must survive emission and parsing unchanged.
+
+    It is drawn from the characters that carry meaning in the YAML subset,
+    plus line breaks, or it is a word that would be written plain but for
+    its trailing line break.
+    """
+    return st.text(",[]#:'\"\\- \n\tabM1", min_size=min_size, max_size=10) | st.from_regex(
+        r"[A-Za-z][A-Za-z0-9 .-]{0,8}\n", fullmatch=True
+    )
 
 
 def brute_force_best_total(iou: np.ndarray) -> float:

@@ -1,12 +1,19 @@
-"""Pinned Python-syntax parser outcomes; run as a script to re-record them.
+"""Pinned parser outcomes; run as a script to re-record them.
 
-The fixture holds malformed and edge-case inputs together with what
-`parse_python` returned for each: every diagnostic (severity, code, message,
-line, column, offset, length) and the parsed model, if any. The inputs are
-hand-written lexical edge cases plus seeded mutants of emitted programs.
+Two fixtures hold malformed and edge-case inputs together with what the
+parser returned for each:
+
+* `parse_python`: every diagnostic (severity, code, message, line, column,
+  offset, length) and the parsed model, if any;
+* `ryaml.parse`, the reader behind `parse_yaml`, `load_catalog` and
+  `DrawingStyle.from_config`: every node's type, value and span plus every
+  key span, or the error message and its span.
+
+The inputs are hand-written lexical edge cases plus seeded mutants of
+emitted programs (and, for YAML, of the catalog texts).
 
 Usage: python3 tests/parse_cases.py --write
-Only re-record on a commit whose diagnostics are trusted.
+Only re-record on a commit whose outcomes are trusted.
 """
 
 import argparse
@@ -17,6 +24,7 @@ import sys
 from pathlib import Path
 
 FIXTURE = Path(__file__).parent / "data" / "parse_python_pinned.json"
+YAML_FIXTURE = Path(__file__).parent / "data" / "parse_yaml_pinned.json"
 
 _BOX = "b0 = Box(position=(300, 200, 1000), size=(600, 400, 2000), rotation=0)"
 _MODEL = 'm0 = Model(id="M-BB01", box=b0, N=2, NKA=298, NKB=298, DBXX=1)'
@@ -133,7 +141,7 @@ def _tokens(text: str) -> list[str]:
     return re.findall(r'"[^"\n]*"|[0-9.+-]+|[A-Za-z_][A-Za-z0-9_]*|\s+|.', text)
 
 
-def _mutate(text: str, rng: random.Random) -> str:
+def _mutate(text: str, rng: random.Random, alphabet: list[str] = _ALPHABET) -> str:
     for _ in range(rng.randint(1, 3)):
         pieces = _tokens(text)
         if not pieces:
@@ -145,9 +153,9 @@ def _mutate(text: str, rng: random.Random) -> str:
         elif op == 1:  # duplicate a token
             pieces.insert(k, pieces[k])
         elif op == 2:  # insert a character
-            pieces.insert(k, rng.choice(_ALPHABET))
+            pieces.insert(k, rng.choice(alphabet))
         elif op == 3:  # replace a character
-            pieces[k] = rng.choice(_ALPHABET)
+            pieces[k] = rng.choice(alphabet)
         elif op == 4:  # swap a number
             numbers = [i for i, p in enumerate(pieces) if p[:1].isdigit() or p[:1] in "+-."]
             if numbers:
@@ -198,6 +206,282 @@ def outcome(text: str, strict: bool, catalog) -> dict:
     return {"text": text, "strict": strict, "diagnostics": diagnostics, "model": model}
 
 
+YAML_EDGE_CASES = [
+    "",
+    "\n",
+    "# only a comment\n",
+    "a: 1\n",
+    "a: 1",
+    "a",
+    "a:b\n",
+    "a :b\n",
+    "1: x\n",
+    "_a.b-c: 1\n",
+    "a: b: c\n",
+    "a: 1\na: 2\n",
+    "a:\nb: 1\n",
+    "a:\n",
+    "a: 1\nb\n",
+    "a:\n  b: 1\n c: 2\n",
+    "a:\n  b: 1\n    c: 2\n",
+    "a: 1\n  b: 2\n",
+    # comments: a `#` outside quotes that opens the line or follows a space or tab
+    "#\n",
+    "a: 1 # c\n",
+    "a: 1# c\n",
+    "a: 1\t# c\n",
+    "a: x#y\n",
+    "a:#\n",
+    "a: #\n",
+    "# c\na: 1 # d\n# e",
+    "a: 'x # y'\n",
+    'a: "x # y"\n',
+    'a: "x \\" # y"\n',
+    "a: 'it''s # x'\n",
+    "a: it's # c\n",
+    'a: x"y # z\n',
+    'a: "unterminated # c\n',
+    "a: 'unterminated # c\n",
+    'a: "ends in backslash\\\n',
+    "a: '' # c\n",
+    'a: "" # c\n',
+    "- # c\n",
+    "- a # c\n",
+    "a: [1, 2] # c\n",
+    "a: [1, '#', 2] # c\n",
+    "a: 'x' # c 'y\n",
+    # double-quoted escapes
+    'a: "x\\ny"\n',
+    'a: "x\\ty"\n',
+    'a: "x\\"y"\n',
+    'a: "x\\\\y"\n',
+    'a: "x\\qy"\n',
+    'a: "x\\u0041"\n',
+    'a: "x\\ "\n',
+    'a: "x\\qy\n',
+    'a: "x\\\n',
+    'a: "x\\"\n',
+    'a: "x\\\\"\n',
+    'a: "abc" tail\n',
+    'a: "abc"  \n',
+    'a: ""\n',
+    '"top level"\n',
+    '"top" level\n',
+    # single-quoted strings
+    "a: ''\n",
+    "a: ''''\n",
+    "a: 'it''s'\n",
+    "a: 'x'''\n",
+    "a: 'x\n",
+    "a: 'x''\n",
+    "a: 'x' y\n",
+    "a: 'x\\n'\n",
+    "'top'\n",
+    # sequence entries
+    "- 1\n- 2\n",
+    "- a: 1\n  b: 2\n",
+    "-  a: 1\n   b: 2\n",
+    "-   a: 1\n  b: 2\n",
+    "- a: 1\n    b: 2\n",
+    "- a:\n  - x\n",
+    "- a:\n    b: 1\n",
+    "- a:\n",
+    "- a: 1\n- a: 2\n",
+    "- a: 1\n  a: 2\n",
+    "-\n  a: 1\n",
+    "-\n- b\n",
+    "-\n",
+    "-",
+    "- ",
+    "- - a\n",
+    "- -\n",
+    "- - a: 1\n",
+    "- \tx\n",
+    "-\tx\n",
+    "- \ta: 1\n",
+    "- \t[1]\n",
+    "- a\n  b\n",
+    "- [1, 2]\n- x\n",
+    "- x\nb: 1\n",
+    "a: 1\n- x\n",
+    "-x\n",
+    "-1\n",
+    "- 'q'\n",
+    '- "q" tail\n',
+    # indentless sequences
+    "a:\n- 1\n- 2\nb: 3\n",
+    "a:\n- x: 1\n  y: 2\nb:\n- 3\n",
+    "a:\n  - 1\n  - 2\n",
+    "a:\n- 1\n  - 2\n",
+    "a:\n- 1\n - 2\n",
+    "a:\n  b:\n  - 1\n  c: 2\n",
+    # tabs, CR / CRLF, document markers
+    "a:\n\tb: 1\n",
+    "\ta: 1\n",
+    "a: 1\t\n",
+    "a:\t1\n",
+    "a: 1\r\nb: 2\r\n",
+    "a: 1\rb: 2\n",
+    "a: 1\r\r\n",
+    "a: 'x\ry'\n",
+    "---\n",
+    "a: 1\n---\n",
+    "...\n",
+    "  ---\n",
+    "--- # c\n",
+    "- ---\n",
+    "a: ---\n",
+    # unsupported lead characters
+    "a: &x 1\n",
+    "a: *x\n",
+    "a: !t 1\n",
+    "a: |\n  x\n",
+    "a: >\n",
+    "a: {x: 1}\n",
+    "%YAML 1.2\n",
+    "? a\n",
+    "a: @x\n",
+    "a: `x\n",
+    "&a\n",
+    "- *a\n",
+    "a: [&a]\n",
+    "a: [*a, b]\n",
+    "a: [1, {b}]\n",
+    # flow sequences
+    "a: [1, 2.5, x]\n",
+    "a: []\n",
+    "a: [ ]\n",
+    "a: [,]\n",
+    "a: [1,]\n",
+    "a: [,1]\n",
+    "a: [1, , 2]\n",
+    "a: [1, [2]]\n",
+    "a: [[1]]\n",
+    "a: [1, 2\n",
+    "a: [1, 2] x\n",
+    "a: [a]b]\n",
+    "a: [a b, c d]\n",
+    "a: [1 2]\n",
+    "[1, 2]\n",
+    "a: [\t1 ,\t2 ]\n",
+    # quoted flow items
+    "a: ['a,b']\n",
+    'a: ["a,b", c]\n',
+    'a: ["a[b"]\n',
+    'a: ["a]b"]\n',
+    "a: ['[x]', ']', '[']\n",
+    "a: ['x' y, z]\n",
+    'a: ["x" [y]]\n',
+    'a: ["a\\q", b]\n',
+    'a: ["a\\q, b"]\n',
+    'a: ["a]\n',
+    'a: ["a]b]\n',
+    "a: ['a, b]\n",
+    "a: ['a, b\n",
+    "a: [ 'a' , \"b\" ]\n",
+    "a: ['it''s, ok']\n",
+    'a: ["x\\", y"]\n',
+    'a: ["x\\", y]\n',
+    "a: ['', \"\"]\n",
+    "a: [x'y, z']\n",
+    "a: [x, 'y, z']\n",
+    "a: ['y, z' , ]\n",
+    "a: [1, 'a, b', 2.5]\n",
+    # numbers
+    "a: 1.\n",
+    "a: .5\n",
+    "a: +1\n",
+    "a: -0\n",
+    "a: -0.0\n",
+    "a: 1e5\n",
+    "a: 1.2.3\n",
+    "a: 00012\n",
+    "a: " + "9" * 400 + ".0\n",
+    "a: [" + "9" * 400 + ".0]\n",
+    "a: 0." + "0" * 400 + "1\n",
+]
+
+_YAML_ALPHABET = list("\"'\\\n\r\t #-:,[]{}&*!|>%?@`0123456789.abxyz_") + [
+    "- ", "---", "''", "\\n", "\\q", '\\"', " #", "  ", "\n  ", "\n- ", "é",
+]
+_FLOW_PIECES = [
+    "a", "b c", "1", "-2.5", " ", "", ",", "[", "]", "#", " #", "\\", "\\n", "''",
+    "'a, b'", "'[x]'", "'it''s'", "'", '"', '"a, b"', '"x]"', '"[y"', '"q\\"r"',
+    '"bad\\q"', "&", "{",
+]
+
+
+def _emitted_yaml(count: int) -> list[str]:
+    """One or two entries of each of `count` emitted YAML programs."""
+    from cabinetkit import SynthSpec, builtin_catalog, emit_yaml, generate
+
+    catalog = builtin_catalog()
+    programs = []
+    for seed in range(count):
+        lines = emit_yaml(generate(SynthSpec(seed=seed), catalog), catalog).splitlines(True)
+        starts = [i for i, line in enumerate(lines) if line.startswith("- ")] + [len(lines)]
+        k = seed % (len(starts) - 1)
+        end = starts[min(k + 1 + seed % 2, len(starts) - 1)]
+        programs.append("cabinet:\n" + "".join(lines[starts[k]:end]))
+    return programs
+
+
+def _catalog_texts() -> list[str]:
+    from importlib import resources
+
+    from cabinetkit import builtin_catalog
+    from cabinetkit.catalog import save_catalog
+
+    shipped = resources.files("cabinetkit").joinpath("data/mini_catalog.yaml").read_text("utf-8")
+    return [shipped, save_catalog(builtin_catalog())]
+
+
+def yaml_case_inputs() -> list[str]:
+    """All inputs of the YAML fixture, in a fixed order."""
+    rng = random.Random(20250301)
+    cases = list(YAML_EDGE_CASES)
+    for program in _emitted_yaml(40):
+        cases.append(program)
+        cases.extend(_mutate(program, rng, _YAML_ALPHABET) for _ in range(5))
+    for text in _catalog_texts():
+        cases.append(text)
+        lines = text.splitlines(True)
+        for _ in range(40):
+            start = rng.randrange(len(lines))
+            window = "".join(lines[start:start + rng.randint(2, 10)])
+            cases.append(_mutate(window, rng, _YAML_ALPHABET))
+    for _ in range(200):
+        items = [rng.choice(_FLOW_PIECES) for _ in range(rng.randint(1, 4))]
+        cases.append("k: [" + rng.choice([", ", ",", " , "]).join(items) + "]\n")
+    return cases
+
+
+def _span(span) -> list[int]:
+    return [span.line, span.column, span.offset, span.length]
+
+
+def _node(node) -> list:
+    from cabinetkit import ryaml
+
+    if isinstance(node, ryaml.ScalarNode):
+        return ["scalar", type(node.value).__name__, node.value, _span(node.span)]
+    if isinstance(node, ryaml.SeqNode):
+        return ["seq", _span(node.span), [_node(item) for item in node.items]]
+    pairs = [[key, _span(node.key_spans[key]), _node(value)] for key, value in node.pairs.items()]
+    return ["map", _span(node.span), pairs]
+
+
+def yaml_outcome(text: str) -> dict:
+    """What ryaml.parse returns for `text`, as plain JSON values."""
+    from cabinetkit import ryaml
+
+    try:
+        node = ryaml.parse(text)
+    except ryaml.RYamlError as exc:
+        return {"text": text, "error": [exc.message] + _span(exc.span), "node": None}
+    return {"text": text, "error": None, "node": _node(node)}
+
+
 def dumps(cases: list[dict]) -> str:
     """One case per line, ASCII only, so the file diffs case by case."""
     return "[\n" + ",\n".join(json.dumps(case, ensure_ascii=True) for case in cases) + "\n]\n"
@@ -213,9 +497,11 @@ def main_script() -> int:
 
     catalog = builtin_catalog()
     cases = [outcome(text, strict, catalog) for text, strict in case_inputs()]
+    yaml_cases = [yaml_outcome(text) for text in yaml_case_inputs()]
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(dumps(cases), encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {FIXTURE}")
+    for path, recorded in ((FIXTURE, cases), (YAML_FIXTURE, yaml_cases)):
+        path.write_text(dumps(recorded), encoding="utf-8")
+        print(f"wrote {len(recorded)} cases to {path}")
     return 0
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cabinetkit.catalog import (
     CatalogError,
@@ -10,6 +12,7 @@ from cabinetkit.catalog import (
     save_catalog,
     validate_params,
 )
+from helpers import awkward_text
 
 
 def test_builtin_catalog_has_expected_primitives(catalog):
@@ -54,6 +57,70 @@ def test_load_save_load_identity(catalog):
     for schema in catalog:
         assert reloaded.require(schema.model_id) == schema
     assert builtin_catalog() is builtin_catalog()
+
+
+def test_separators_and_newlines_round_trip():
+    finish = ParamSchema(
+        key="FIN",
+        kind="enumeration",
+        domain=("oak, light", "[walnut]", "a]b", 'say "hi"', "it's", "tail\n"),
+        default="oak, light",
+        description="finish, see [1] # not a comment",
+    )
+    schema = PrimitiveSchema(model_id="M-X\n", name="oak\n", param_schemas=(finish,))
+    catalog = PrimitiveCatalog([schema], version="2, beta\n")
+    text = save_catalog(catalog)
+    reloaded = load_catalog(text)
+    assert save_catalog(reloaded) == text
+    assert reloaded.version == catalog.version
+    assert list(reloaded) == [schema]
+
+
+_TEXT = awkward_text()
+_MEMBERS = st.lists(
+    _TEXT | st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def _catalogs(draw) -> PrimitiveCatalog:
+    schemas = []
+    for model_id in draw(st.lists(_TEXT.filter(bool), min_size=1, max_size=3, unique=True)):
+        params = []
+        for key in draw(st.lists(st.sampled_from(["E", "DBXX", "K2"]), max_size=3, unique=True)):
+            members = tuple(draw(_MEMBERS))
+            params.append(
+                ParamSchema(
+                    key=key,
+                    kind="enumeration",
+                    domain=members,
+                    default=draw(st.none() | st.sampled_from(members)),
+                    description=draw(_TEXT),
+                )
+            )
+        schemas.append(
+            PrimitiveSchema(
+                model_id=model_id,
+                name=draw(_TEXT),
+                param_schemas=tuple(params),
+                role=draw(st.none() | _TEXT),
+            )
+        )
+    divider = draw(st.floats(0.0, 1e6, allow_nan=False))
+    return PrimitiveCatalog(schemas, version=draw(_TEXT), divider_thickness_mm=divider)
+
+
+@given(catalog=_catalogs())
+@settings(max_examples=200, deadline=None)
+def test_save_load_round_trip_of_arbitrary_text(catalog):
+    text = save_catalog(catalog)
+    reloaded = load_catalog(text)
+    assert save_catalog(reloaded) == text
+    assert reloaded.version == catalog.version
+    assert reloaded.divider_thickness_mm == catalog.divider_thickness_mm
+    assert list(reloaded) == list(catalog)
 
 
 def test_duplicate_model_id_rejected():

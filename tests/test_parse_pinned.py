@@ -1,19 +1,27 @@
-"""Python-syntax parser outcomes pinned byte for byte (see parse_cases.py)."""
+"""Parser outcomes pinned byte for byte (see parse_cases.py)."""
 
 import json
 
-from parse_cases import FIXTURE, dumps, outcome
+from parse_cases import FIXTURE, YAML_FIXTURE, dumps, outcome, yaml_outcome
+
+
+def _changed(cases: list[dict], got: list[dict]) -> list[str]:
+    return [case["text"] for case, new in zip(cases, got) if json.dumps(case) != json.dumps(new)]
 
 
 def test_pinned_parse_outcomes_unchanged(catalog):
     expected = FIXTURE.read_text(encoding="utf-8")
     cases = json.loads(expected)
     got = [outcome(case["text"], case["strict"], catalog) for case in cases]
-    mismatched = [
-        (case["text"], case["strict"])
-        for case, new in zip(cases, got)
-        if json.dumps(case) != json.dumps(new)
-    ]
-    assert not mismatched, f"{len(mismatched)} cases changed, first: {mismatched[0]!r}"
+    changed = _changed(cases, got)
+    assert not changed, f"{len(changed)} cases changed, first: {changed[0]!r}"
     assert dumps(got) == expected
 
+
+def test_pinned_yaml_parse_outcomes_unchanged():
+    expected = YAML_FIXTURE.read_text(encoding="utf-8")
+    cases = json.loads(expected)
+    got = [yaml_outcome(case["text"]) for case in cases]
+    changed = _changed(cases, got)
+    assert not changed, f"{len(changed)} cases changed, first: {changed[0]!r}"
+    assert dumps(got) == expected

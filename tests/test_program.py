@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml  # independent reader for format conformance
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cabinetkit import (
@@ -24,6 +24,7 @@ from cabinetkit import (
 )
 import cabinetkit
 from cabinetkit.diagnostics import has_errors
+from helpers import awkward_text
 
 TWO_STATEMENTS = """\
 b0 = Box(position=(300, 200, 1000), size=(600, 400, 2000), rotation=0)
@@ -218,6 +219,23 @@ class TestRoundTrip:
         result = parse_yaml(emit_yaml(model, catalog), catalog)
         assert result.ok and result.diagnostics == []
         assert result.model == model
+
+    @given(
+        model_id=awkward_text(min_size=1),
+        name=awkward_text(),
+        text=awkward_text(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_yaml_round_trip_of_arbitrary_text(self, model_id, name, text, catalog):
+        assume(model_id not in catalog)
+        inst = PrimitiveInstance(
+            model_id=model_id,
+            box=OrientedBox((300, 200, 100), (600, 400, 200)),
+            name=name,
+            params={"TXT": text},
+        )
+        model = CabinetModel((inst, inst))
+        assert parse_yaml(emit_yaml(model, catalog), catalog).model == model
 
     def test_fractional_and_rotated_values(self, catalog):
         inst = make_instance(

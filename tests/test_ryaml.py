@@ -88,8 +88,13 @@ def test_single_quoted_strings():
     assert ryaml.loads("a: 'it''s'\n") == {"a": "it's"}
 
 
+def test_quoted_flow_items_may_hold_separators():
+    text = """v: ['a, b', "[c]", 'd]', "e\\"f, g", 'it''s, ok', 1]\n"""
+    assert ryaml.loads(text) == {"v": ["a, b", "[c]", "d]", 'e"f, g', "it's, ok", 1]}
+
+
 def test_string_escapes_round_trip():
-    for value in ['with "quotes"', "back\\slash", "tab\there", "new\nline", "1.5", "no"]:
+    for value in ['with "quotes"', "back\\slash", "tab\there", "new\nline", "1.5", "no", "M-X\n"]:
         rendered = ryaml.format_string(value)
         assert ryaml.loads(f"k: {rendered}\n") == {"k": value}
 
