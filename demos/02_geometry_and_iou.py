@@ -1,4 +1,4 @@
-"""The oriented-box kernel: corners, footprints, projections, and exact 3D IoU.
+"""The oriented-box kernel: footprints, bounds, projections, and exact 3D IoU.
 
 Boxes rotate about the vertical axis only, so every volume overlap factors
 into a convex 2D footprint intersection times a 1D height overlap. That
@@ -7,16 +7,22 @@ makes the IoU exact (no sampling) and cheap.
 
 import numpy as np
 
-from cabinetkit import OrientedBox, box_corners, box_footprint, iou3d, project_box
+from cabinetkit import OrientedBox, box_footprint, iou3d, project_box
+from cabinetkit.geometry import box_bounds
 
 # A box is its center, its extents, and a rotation about z in degrees.
 box = OrientedBox(position=(0, 0, 0), size=(2, 4, 2), rotation_deg=45)
-print("corners of a 45-degree box:")
-print(np.round(box_corners(box), 3))
 
 # The xy footprint is a convex CCW quad; rotations that are multiples of
-# 90 degrees are snapped exactly, so axis-aligned results stay exact.
-print("\nfootprint:", [tuple(round(c, 3) for c in v) for v in box_footprint(box)])
+# 90 degrees are snapped exactly, so axis-aligned results stay exact. With
+# the z interval it fixes the whole box.
+print("footprint of a 45-degree box:", [tuple(round(c, 3) for c in v) for v in box_footprint(box)])
+print("z interval:", box.z_interval)
+
+# The world-frame bounds (lo, hi) of any number of boxes, and which of them
+# sit at right angles.
+lo, hi, right = box_bounds([box])
+print("bounds: lo", np.round(lo[0], 3), "hi", np.round(hi[0], 3), "right angle:", bool(right[0]))
 
 # IoU basics: identical boxes score exactly 1, face-tangent boxes score 0.
 a = OrientedBox((0, 0, 0), (1, 1, 1))

@@ -256,10 +256,6 @@ class NoiseSpec:
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be non-negative")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.p_drop == 0 and self.jitter_sigma == 0 and self.p_spurious == 0
-
 
 def inject_noise(views: list[ViewDrawing], spec: NoiseSpec, seed: int) -> list[ViewDrawing]:
     """Deterministically degrade the geometry layer; annotations untouched."""
@@ -494,12 +490,7 @@ def to_svg(sheet: Sheet, style: DrawingStyle | None = None) -> str:
         )
         for placed in sheet.views:
             for p, q in placed.view.segments:
-                x1, y1 = sheet.to_px(placed, p)
-                x2, y2 = sheet.to_px(placed, q)
-                lines.append(
-                    f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                    f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
-                )
+                lines.append(_svg_line(sheet.to_px(placed, p), sheet.to_px(placed, q)))
         lines.append("</g>")
     if _ANNOTATION_LAYER in style.layers:
         lines.append(

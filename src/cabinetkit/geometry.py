@@ -1,4 +1,4 @@
-"""Oriented-box kernel: world-frame corners, footprints, 3D IoU, projections.
+"""Oriented-box kernel: footprints, bounds, 3D IoU, projections.
 
 Coordinate conventions: the up axis is +z, the front of a cabinet faces -y,
 and the world origin sits at a cabinet corner so that valid assemblies lie
@@ -23,7 +23,8 @@ if TYPE_CHECKING:
 UP_AXIS = "+z"
 FRONT_DIRECTION = "-y"
 
-#: Absolute tolerance for clipping predicates, in millimeters.
+#: Absolute tolerance for clipping predicates and for dropping and joining
+#: drawn segments, in millimeters.
 CLIP_EPS = 1e-9
 
 #: Numerical slack allowed when checking the first-octant placement rule.
@@ -94,11 +95,6 @@ class OrientedBox:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "rotation_deg", rotation)
 
-    def translated(self, offset) -> "OrientedBox":
-        ox, oy, oz = offset
-        px, py, pz = self.position
-        return OrientedBox((px + ox, py + oy, pz + oz), self.size, self.rotation_deg)
-
     @property
     def volume(self) -> float:
         sx, sy, sz = self.size
@@ -130,27 +126,6 @@ def box_footprint(box: OrientedBox) -> list[Point2]:
     for lx, ly in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy)):
         verts.append((px + c * lx - s * ly, py + s * lx + c * ly))
     return verts
-
-
-def box_corners(box: OrientedBox) -> np.ndarray:
-    """The 8 world-frame corners, shape (8, 3).
-
-    Corners 0-3 are the bottom footprint in CCW order, corners 4-7 the top.
-    """
-    footprint = box_footprint(box)
-    z0, z1 = box.z_interval
-    corners = np.empty((8, 3), dtype=float)
-    for i, (x, y) in enumerate(footprint):
-        corners[i] = (x, y, z0)
-        corners[i + 4] = (x, y, z1)
-    return corners
-
-
-_BOX_EDGES = (
-    (0, 1), (1, 2), (2, 3), (3, 0),  # bottom ring
-    (4, 5), (5, 6), (6, 7), (7, 4),  # top ring
-    (0, 4), (1, 5), (2, 6), (3, 7),  # verticals
-)
 
 
 def polygon_area(poly: Iterable[Point2]) -> float:
@@ -323,20 +298,24 @@ def model_aabb(model: "CabinetModel") -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_box(box: OrientedBox, view: str) -> list[Segment]:
-    """Orthographic wireframe of the box's 12 edges in a principal view.
+    """Orthographic wireframe of the box in a principal view.
 
-    Degenerate (point) projections are dropped and collinear overlapping
-    segments are merged, so an axis-aligned box projects to exactly the
-    4 silhouette segments.
+    The top view is the footprint's four edges. The other views span the
+    footprint along the view's horizontal axis: a horizontal across that
+    span at each end of the z interval, and a vertical over the z interval
+    at each footprint corner. `merge_segments` drops segments no longer than
+    CLIP_EPS and merges collinear overlapping ones, so a right-angle box
+    projects to exactly its 4 silhouette segments.
     """
-    ax_h, ax_v = view_axes(view)
-    corners = box_corners(box)
-    segments: list[Segment] = []
-    for i, j in _BOX_EDGES:
-        p = (float(corners[i][ax_h]), float(corners[i][ax_v]))
-        q = (float(corners[j][ax_h]), float(corners[j][ax_v]))
-        if _dist2(p, q) > CLIP_EPS * CLIP_EPS:
-            segments.append((p, q))
+    ax_h, _ = view_axes(view)
+    footprint = box_footprint(box)
+    if view == VIEW_TOP:
+        segments = list(zip(footprint, footprint[1:] + footprint[:1]))
+    else:
+        z0, z1 = box.z_interval
+        hs = [corner[ax_h] for corner in footprint]
+        segments = [((min(hs), z), (max(hs), z)) for z in (z0, z1)]
+        segments += [((h, z0), (h, z1)) for h in hs]
     return merge_segments(segments)
 
 
@@ -355,8 +334,8 @@ def _dist2(p: Point2, q: Point2) -> float:
 _LINE_KEY_DECIMALS = 6
 
 
-def merge_segments(segments: Iterable[Segment], *, gap_tol: float = 1e-9) -> list[Segment]:
-    """Merge collinear segments that overlap or touch (within gap_tol).
+def merge_segments(segments: Iterable[Segment]) -> list[Segment]:
+    """Merge collinear segments that overlap or touch (within CLIP_EPS).
 
     Output endpoints are taken verbatim from the inputs (never recomputed),
     which makes the merge idempotent. The result is sorted deterministically
@@ -364,7 +343,7 @@ def merge_segments(segments: Iterable[Segment], *, gap_tol: float = 1e-9) -> lis
     """
     groups: dict[tuple, list[tuple[float, float, Point2, Point2]]] = {}
     for p, q in segments:
-        if _dist2(p, q) <= gap_tol * gap_tol:
+        if _dist2(p, q) <= CLIP_EPS * CLIP_EPS:
             continue
         dx, dy = q[0] - p[0], q[1] - p[1]
         norm = math.hypot(dx, dy)
@@ -391,7 +370,7 @@ def merge_segments(segments: Iterable[Segment], *, gap_tol: float = 1e-9) -> lis
             if current is None:
                 current = [t0, t1, p, q]
                 continue
-            if t0 <= current[1] + gap_tol:
+            if t0 <= current[1] + CLIP_EPS:
                 if t1 > current[1]:
                     current[1], current[3] = t1, q
             else:

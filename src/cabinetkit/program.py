@@ -90,12 +90,6 @@ class ParseResult:
     def ok(self) -> bool:
         return self.model is not None
 
-    def unwrap(self) -> CabinetModel:
-        if self.model is None:
-            summary = "; ".join(str(d) for d in self.diagnostics[:3])
-            raise ValueError(f"shape program has errors: {summary}")
-        return self.model
-
 
 # ---------------------------------------------------------------------------
 # Parameter rendering shared by both emitters (the digits come from ryaml).
@@ -511,7 +505,7 @@ def emit_python(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
             f"box_{k} = Box(position=({px}, {py}, {pz}), "
             f"size=({sx}, {sy}, {sz}), rotation={rot})"
         )
-        args = [f'id="{instance.model_id}"', f"box=box_{k}"]
+        args = [f"id={_quote_py(instance.model_id)}", f"box=box_{k}"]
         for key, value in instance.params.items():
             args.append(f"{key}={format_param_value(value, quote=_quote_py)}")
         lines.append(f"model_{k} = Model({', '.join(args)})")

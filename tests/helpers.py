@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cabinetkit import CabinetModel, OrientedBox, make_instance
+from cabinetkit.geometry import CLIP_EPS, box_footprint, merge_segments, view_axes
 
 
 def awkward_text(min_size: int = 0):
@@ -55,6 +56,32 @@ def aabb_iou_oracle(a: OrientedBox, b: OrientedBox) -> float:
     va = float(np.prod(hi_a - lo_a))
     vb = float(np.prod(hi_b - lo_b))
     return inter / (va + vb - inter)
+
+
+def box_corners(box: OrientedBox) -> np.ndarray:
+    """The 8 world-frame corners, shape (8, 3): the bottom footprint, then the top."""
+    z0, z1 = box.z_interval
+    return np.array([(x, y, z) for z in (z0, z1) for x, y in box_footprint(box)])
+
+
+_BOX_EDGES = (
+    (0, 1), (1, 2), (2, 3), (3, 0),  # bottom ring
+    (4, 5), (5, 6), (6, 7), (7, 4),  # top ring
+    (0, 4), (1, 5), (2, 6), (3, 7),  # verticals
+)
+
+
+def project_box_oracle(box: OrientedBox, view: str):
+    """`project_box` by projecting all 12 box edges: the reference."""
+    ax_h, ax_v = view_axes(view)
+    corners = box_corners(box)
+    segments = []
+    for i, j in _BOX_EDGES:
+        p = (float(corners[i][ax_h]), float(corners[i][ax_v]))
+        q = (float(corners[j][ax_h]), float(corners[j][ax_v]))
+        if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > CLIP_EPS * CLIP_EPS:
+            segments.append((p, q))
+    return merge_segments(segments)
 
 
 def random_box(rng, *, lo=50.0, hi=2000.0, min_size=30.0, max_size=800.0,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,16 +10,19 @@ from cabinetkit import (
     AnnotateOptions,
     CabinetModel,
     OrientedBox,
+    SynthSpec,
     annotate,
+    generate,
     make_instance,
     render_views,
     validate,
 )
 from cabinetkit import geometry
 from cabinetkit.geometry import (
+    CLIP_EPS,
     OCTANT_EPS,
+    VIEW_KINDS,
     box_bounds,
-    box_corners,
     box_footprint,
     clip_convex,
     clip_iou,
@@ -30,7 +34,7 @@ from cabinetkit.geometry import (
     project_box,
 )
 from cabinetkit.metrics import iou_matrix
-from helpers import aabb_iou_oracle, random_box
+from helpers import aabb_iou_oracle, box_corners, project_box_oracle, random_box
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,16 +85,14 @@ class TestOrientedBox:
 
 class TestCorners:
     def test_identity_rotation(self):
-        corners = box_corners(box((0, 0, 0), (2, 2, 2)))
-        expected = {(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)}
-        assert {tuple(c) for c in corners} == expected
+        b = box((0, 0, 0), (2, 2, 2))
+        assert box_footprint(b) == [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+        assert b.z_interval == (-1, 1)
 
     def test_quarter_turn_swaps_footprint(self):
-        corners = box_corners(box((0, 0, 0), (2, 4, 2), 90))
-        xs = corners[:, 0]
-        ys = corners[:, 1]
-        assert xs.min() == -2 and xs.max() == 2
-        assert ys.min() == -1 and ys.max() == 1
+        xs, ys = zip(*box_footprint(box((0, 0, 0), (2, 4, 2), 90)))
+        assert min(xs) == -2 and max(xs) == 2
+        assert min(ys) == -1 and max(ys) == 1
 
     def test_rotated_cube_footprint_vertex(self):
         foot = box_footprint(box((0, 0, 0), (1, 1, 1), 45))
@@ -158,7 +160,8 @@ class TestIoU:
         b = random_box(rng, rotations=(0, 30, 45, 90, 215))
         assert abs(iou3d(a, b) - iou3d(b, a)) <= 1e-12
         shift = rng.uniform(-500, 500, 3)
-        assert abs(iou3d(a, b) - iou3d(a.translated(shift), b.translated(shift))) <= 1e-9
+        a2, b2 = (OrientedBox(np.add(x.position, shift), x.size, x.rotation_deg) for x in (a, b))
+        assert abs(iou3d(a, b) - iou3d(a2, b2)) <= 1e-9
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
@@ -440,3 +443,66 @@ class TestBoxBounds:
             patch.setattr(geometry, "box_bounds", _corner_bounds)
             reference = annotate(views, model, catalog, options)
         assert annotated == reference
+
+
+def _segment_bits(segments):
+    """Segments as bytes, so that a comparison also tells 0.0 from -0.0."""
+    return np.array(segments, dtype=float).reshape(-1, 4).tobytes()
+
+
+def _wide_footprint(b):
+    return min(b.size[0], b.size[1]) > 2 * CLIP_EPS
+
+
+def _turned(model, rng, turn):
+    """The model with every box turned about its center by `turn(rng)` degrees."""
+    return CabinetModel(tuple(
+        replace(inst, box=OrientedBox(inst.box.position, inst.box.size,
+                                      inst.box.rotation_deg + float(turn(rng))))
+        for inst in model.instances
+    ))
+
+
+TURNS = {
+    "none": lambda rng: 0.0,
+    "quarter": lambda rng: rng.choice(RIGHT_ANGLES),
+    "tilt": lambda rng: rng.uniform(1.0, 12.0) * rng.choice([-1.0, 1.0]),
+    "any": lambda rng: rng.uniform(-720.0, 720.0),
+    "45": lambda rng: 45.0,
+}
+
+
+class TestProjectionOracle:
+    """`project_box` against projecting all 12 box edges (`project_box_oracle`)."""
+
+    @given(bounded_boxes().filter(_wide_footprint))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_twelve_edge_projection_bit_for_bit(self, b):
+        for view in VIEW_KINDS:
+            assert _segment_bits(project_box(b, view)) == _segment_bits(project_box_oracle(b, view))
+
+    @given(st.integers(0, 10_000), st.sampled_from(sorted(TURNS)))
+    @settings(max_examples=40, deadline=None)
+    def test_render_views_matches_twelve_edge_projection(self, catalog, seed, turn):
+        model = _turned(generate(SynthSpec(seed=seed), catalog), np.random.default_rng(seed), TURNS[turn])
+        views = render_views(model, list(VIEW_KINDS))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "project_box", project_box_oracle)
+            reference = render_views(model, list(VIEW_KINDS))
+        assert [v.kind for v in views] == [v.kind for v in reference]
+        for view, ref in zip(views, reference):
+            assert _segment_bits(view.segments) == _segment_bits(ref.segments)
+
+    def test_sub_nanometre_tilted_footprint_keeps_its_horizontals(self):
+        # Both footprint sides are under sqrt(2) * CLIP_EPS, so at 45 degrees
+        # no single edge projects longer than CLIP_EPS and the 12-edge
+        # wireframe loses its horizontals. The footprint's span across the
+        # view is still longer than CLIP_EPS, and project_box draws it.
+        b = box((100, 200, 800), (1.26e-9, 7.2e-10, 1545), 45)
+        z0, z1 = b.z_interval
+        xs = [x for x, _ in box_footprint(b)]
+        assert max(xs) - min(xs) > CLIP_EPS
+        front = project_box(b, "front")
+        horizontals = [((min(xs), z), (max(xs), z)) for z in (z0, z1)]
+        assert sorted(front) == sorted(project_box_oracle(b, "front") + horizontals)
+        assert project_box(b, "top") == project_box_oracle(b, "top")

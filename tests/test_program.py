@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml  # independent reader for format conformance
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cabinetkit import (
@@ -236,6 +236,24 @@ class TestRoundTrip:
         )
         model = CabinetModel((inst, inst))
         assert parse_yaml(emit_yaml(model, catalog), catalog).model == model
+
+    # Line breaks are left out: the Python syntax has no escape for them.
+    @given(
+        model_id=awkward_text(min_size=1).filter(lambda t: "\n" not in t),
+        text=awkward_text().filter(lambda t: "\n" not in t),
+    )
+    @example(model_id='ab"', text="")
+    @example(model_id="x\\", text='a\\"b')
+    @settings(max_examples=200, deadline=None)
+    def test_python_round_trip_of_arbitrary_text(self, model_id, text, catalog):
+        assume(model_id not in catalog)
+        inst = PrimitiveInstance(
+            model_id=model_id,
+            box=OrientedBox((300, 200, 100), (600, 400, 200)),
+            params={"TXT": text},
+        )
+        model = CabinetModel((inst, inst))
+        assert parse_python(emit_python(model, catalog), catalog).model == model
 
     def test_fractional_and_rotated_values(self, catalog):
         inst = make_instance(
