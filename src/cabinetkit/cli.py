@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--retrieval-over-all-pairs",
         action="store_true",
-        help="retrieval denominator = all assignment pairs instead of TP pairs",
+        help="retrieval denominator = all matched pairs (IoU > 0) instead of TP pairs",
     )
     add_catalog(p)
     p.set_defaults(func=cmd_eval)

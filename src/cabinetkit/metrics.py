@@ -2,8 +2,10 @@
 
 Predicted and ground-truth primitives are paired by optimal assignment on
 3D IoU (Kuhn-Munkres on cost 1 - IoU, padded square with zero-IoU dummy
-entries). A pair is a true positive when its IoU strictly exceeds the
-threshold (default 0.5). On top of the geometric matching:
+entries, warm-started by Jonker-Volgenant column reduction). A pairing at
+IoU 0 is reported as unmatched, like a pairing with a dummy. A pair is a
+true positive when its IoU strictly exceeds the threshold (default 0.5).
+On top of the geometric matching:
 
 * retrieval accuracy is the fraction of true-positive pairs whose model ID
   matches the ground truth's, and
@@ -49,10 +51,15 @@ def iou_matrix(pred: CabinetModel, gt: CabinetModel) -> np.ndarray:
 def _solve_min_cost(cost: np.ndarray) -> list[int]:
     """O(n^3) Kuhn-Munkres on a square cost matrix; returns column per row.
 
-    Deterministic: scanning order is fixed, so among equal-cost assignments
-    the one reached first by in-order augmentation is returned. Raises
-    ValueError on a NaN or infinite cost, which would never let the
-    augmenting-path search terminate.
+    Warm-started by the column reduction of Jonker & Volgenant (Computing
+    38, 1987): each column's dual starts at its smallest cost, and the
+    column is assigned to the first row holding that cost while the row is
+    still free. Augmenting paths are then searched only for the rows left
+    over, in row order. With twin lines (`_has_twin_lines`) there is no
+    warm start, and every row is searched in row order. Deterministic:
+    among equal-cost assignments the one reached first this way is
+    returned. Raises ValueError on a NaN or infinite cost, which would
+    never let the augmenting-path search terminate.
     """
     if not np.isfinite(cost).all():
         raise ValueError("assignment costs must be finite")
@@ -61,8 +68,18 @@ def _solve_min_cost(cost: np.ndarray) -> list[int]:
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
     matched_row = [0] * (n + 1)  # row matched to each column (1-based; 0 = free)
+    row_free = [True] * (n + 1)
+    if not _has_twin_lines(cost):
+        v = [0.0] + cost.min(axis=0).tolist()
+        for j, i in enumerate(cost.argmin(axis=0).tolist(), start=1):
+            if row_free[i + 1]:
+                row_free[i + 1] = False
+                matched_row[j] = i + 1
     way = [0] * (n + 1)
+    rows = cost.tolist()
     for i in range(1, n + 1):
+        if not row_free[i]:
+            continue
         matched_row[0] = i
         j0 = 0
         minv = [INF] * (n + 1)
@@ -72,7 +89,7 @@ def _solve_min_cost(cost: np.ndarray) -> list[int]:
             i0 = matched_row[j0]
             delta = INF
             j1 = 0
-            row = cost[i0 - 1]
+            row = rows[i0 - 1]
             for j in range(1, n + 1):
                 if used[j]:
                     continue
@@ -103,8 +120,32 @@ def _solve_min_cost(cost: np.ndarray) -> list[int]:
     return assignment
 
 
+def _has_twin_lines(cost: np.ndarray) -> bool:
+    """Whether two rows, or two columns, of `cost` are equal and not constant.
+
+    Such twins come from identical boxes, which synthesized cabinets can
+    hold (a fixed and an adjustable shelf in one place). Every assignment
+    among twins costs the same, and the warm start breaks that tie
+    differently from the row-by-row search. When the twins carry different
+    model IDs, the tie decides retrieval, so `_solve_min_cost` skips the
+    warm start for them. Constant lines are padding or boxes that overlap
+    nothing, which `match` reports as unmatched whichever way the tie falls.
+    """
+    for lines in (cost, cost.T):
+        varied = np.ascontiguousarray(lines[lines.min(axis=1) < lines.max(axis=1)])
+        whole_line = np.dtype((np.void, varied.itemsize * varied.shape[1]))
+        keys = varied.view(whole_line).ravel().tolist()  # each line's bytes
+        if len(set(keys)) < len(keys):
+            return True
+    return False
+
+
 def match(pred: CabinetModel, gt: CabinetModel) -> Matching:
-    """Assignment maximizing total IoU; dummy pairings become unmatched."""
+    """Assignment maximizing total IoU.
+
+    Pairings with a dummy and pairings at IoU 0 are reported as unmatched,
+    so which of several zero-IoU pairings the solver picks never shows.
+    """
     ious = iou_matrix(pred, gt)
     n, m = ious.shape
     size = max(n, m)
@@ -116,7 +157,7 @@ def match(pred: CabinetModel, gt: CabinetModel) -> Matching:
     unmatched_pred = []
     for i in range(n):
         j = assignment[i]
-        if j < m:
+        if j < m and ious[i, j] > 0.0:
             pairs.append((i, j, float(ious[i, j])))
         else:
             unmatched_pred.append(i)
@@ -203,8 +244,8 @@ def evaluate_sample(
 
     A matched pair is a true positive only when IoU > iou_thresh (strict).
     By default retrieval accuracy is computed over true-positive pairs;
-    `retrieval_over_all_pairs` switches the denominator to every assignment
-    pair regardless of IoU.
+    `retrieval_over_all_pairs` switches the denominator to every matched
+    pair with an IoU above 0, whether or not it clears the threshold.
     """
     report = SampleReport(sample_id=sample_id, fn=len(gt))
     if pred is None:

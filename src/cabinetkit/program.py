@@ -517,16 +517,120 @@ def emit_python(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
 
 
 def parse_yaml(text: str | bytes, catalog: PrimitiveCatalog, strict: bool = False) -> ParseResult:
-    """Parse the YAML syntax (restricted subset). Never raises on bad input."""
+    """Parse the YAML syntax (restricted subset). Never raises on bad input.
+
+    Text laid out the way `emit_yaml` writes it is read entry by entry with
+    one regex (`_read_emitted_yaml`). Any other text, and any text that
+    would yield a diagnostic, is read through `ryaml.parse`, the only
+    source of diagnostics and spans.
+    """
     decoded, diags = _decode(text)
     if decoded is None:
         return ParseResult(None, diags)
+    model = _read_emitted_yaml(decoded, catalog, strict)
+    if model is not None:
+        return ParseResult(model, [])
+    return _parse_yaml_tree(decoded, catalog, strict)
+
+
+# One emitted string: plain (a letter, then no `#`, quote or colon, and no
+# trailing space), or double-quoted on one line with only the escapes \n,
+# \t, \" and \\. Both read back the same through `ryaml.parse`.
+_YAML_STRING = r'[A-Za-z](?:[^\n#\'":]*[^\s#\'":])?|"[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*"'
+_YAML_NUMBER = ryaml.NUMBER_PATTERN
+_YAML_VECTOR = rf"\n  - ({_YAML_NUMBER})\n  - ({_YAML_NUMBER})\n  - ({_YAML_NUMBER})\n"
+_YAML_ENTRY_RE = re.compile(
+    rf"- id: ({_YAML_STRING})\n"
+    rf"(?:  name: ({_YAML_STRING})\n)?"
+    rf"  position:{_YAML_VECTOR}"
+    rf"  size:{_YAML_VECTOR}"
+    rf"  rotation: ({_YAML_NUMBER})\n"
+    rf"(?:  params:\n((?:    [A-Z][A-Z0-9]*: (?:{_YAML_NUMBER}|{_YAML_STRING})\n)+))?"
+)
+_YAML_PARAM_RE = re.compile(rf"    ([A-Z][A-Z0-9]*): (?:({_YAML_NUMBER})|({_YAML_STRING}))\n")
+_YAML_HEADER = "cabinet:\n"
+
+
+def _yaml_string(token: str) -> str:
+    if token[0] == '"':
+        return ryaml.unescape(token[1:-1])
+    return token
+
+
+def _read_emitted_yaml(
+    text: str, catalog: PrimitiveCatalog, strict: bool
+) -> CabinetModel | None:
+    """The model of `text` when it is laid out as `emit_yaml` writes and parses clean.
+
+    Returns None when an entry strays from that layout, a literal is out
+    of range, a box is rejected, a parameter key repeats or the catalog
+    check has any finding; `parse_yaml` then reads the whole text again
+    through `ryaml.parse`.
+    """
+    if not text.startswith(_YAML_HEADER):
+        return None
+    instances: list[PrimitiveInstance] = []
+    diags: list[Diagnostic] = []
+    pos, end = len(_YAML_HEADER), len(text)
+    while pos < end:
+        entry = _YAML_ENTRY_RE.match(text, pos)
+        if entry is None:
+            return None
+        pos = entry.end()
+        model_id, name, *numbers, params_block = entry.groups()
+        try:
+            px, py, pz, sx, sy, sz, rotation = [
+                _to_float(ryaml.read_number(number)) for number in numbers
+            ]
+            box = OrientedBox(position=(px, py, pz), size=(sx, sy, sz), rotation_deg=rotation)
+        except ValueError:  # a literal out of range, or a BoxError
+            return None
+        params: dict[str, ParamValue] = {}
+        if params_block is not None:
+            for item in _YAML_PARAM_RE.finditer(params_block):
+                key, number, string = item.groups()
+                if key in params:
+                    return None
+                if number is None:
+                    params[key] = _yaml_string(string)
+                    continue
+                try:
+                    params[key] = ryaml.read_number(number)
+                except ValueError:
+                    return None
+        # The verbatim text of a parameter is kept only for unknown models
+        # and parameters, which always yield a finding, so none is passed.
+        instance = _finish_instance(
+            _yaml_string(model_id), lambda: None, box, params, {}, catalog, strict, diags
+        )
+        if diags:
+            return None
+        if name is not None:
+            instance = PrimitiveInstance(
+                model_id=instance.model_id,
+                box=instance.box,
+                name=_yaml_string(name),
+                params=instance.params,
+            )
+        instances.append(instance)
+    if not instances:
+        return None
+    return CabinetModel(tuple(instances))
+
+
+def _parse_yaml_tree(text: str, catalog: PrimitiveCatalog, strict: bool) -> ParseResult:
+    """`parse_yaml` through the `ryaml` node tree, with diagnostics and spans."""
+    diags: list[Diagnostic] = []
     try:
-        root = ryaml.parse(decoded)
+        root = ryaml.parse(text)
     except ryaml.RYamlError as exc:
         diags.append(error("syntax", exc.message, exc.span))
         return ParseResult(None, diags)
 
+    if isinstance(root, ryaml.MapNode):
+        for key in root.pairs:
+            if key != "cabinet":
+                diags.append(error("syntax", f"unknown top-level key {key!r}", root.key_spans[key]))
     if not isinstance(root, ryaml.MapNode) or not isinstance(
         root.get("cabinet"), ryaml.SeqNode
     ):
@@ -571,6 +675,12 @@ def _instance_from_yaml(
     if not isinstance(id_node, ryaml.ScalarNode) or not isinstance(id_node.value, str):
         diags.append(error("syntax", f"cabinet entry {index} requires a string 'id'", _span_of(entry)))
         return None
+    name_node = entry.get("name")
+    if name_node is not None and not (
+        isinstance(name_node, ryaml.ScalarNode) and isinstance(name_node.value, str)
+    ):
+        diags.append(error("syntax", "'name' must be a string", _span_of(name_node)))
+        ok = False
 
     position = _vector_from_yaml(entry, "position", diags)
     size = _vector_from_yaml(entry, "size", diags)
@@ -630,8 +740,7 @@ def _instance_from_yaml(
     )
     if instance is None:
         return None
-    name_node = entry.get("name")
-    if isinstance(name_node, ryaml.ScalarNode) and isinstance(name_node.value, str):
+    if name_node is not None:
         instance = PrimitiveInstance(
             model_id=instance.model_id,
             box=instance.box,

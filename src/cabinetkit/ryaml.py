@@ -316,7 +316,7 @@ def _parse_scalar_token(text: str, line: _Line, start: int) -> tuple[ScalarNode,
                     raise RYamlError(
                         f"unknown escape \\{escape[1]}", line.span(start + 1 + escape.start(), 2)
                     )
-            value = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], body)
+            value = unescape(body)
         if quoted is None:
             raise RYamlError("unterminated string", line.span(start))
         return ScalarNode(value, line.span(start, quoted.end())), quoted.end()
@@ -328,6 +328,11 @@ def _parse_scalar_token(text: str, line: _Line, start: int) -> tuple[ScalarNode,
         except ValueError as exc:
             raise RYamlError(str(exc), span) from None
     return ScalarNode(token, span), len(text)
+
+
+def unescape(body: str) -> str:
+    """The value of a double-quoted scalar from its `body`, whose escapes are all known."""
+    return _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], body)
 
 
 def read_number(token: str) -> int | float:

@@ -1,11 +1,12 @@
 """Shared test oracles, kept independent of the code paths they check."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 from hypothesis import strategies as st
 
-from cabinetkit import CabinetModel, OrientedBox, make_instance
+from cabinetkit import CabinetModel, OrientedBox, SynthSpec, generate, make_instance
 from cabinetkit.geometry import CLIP_EPS, box_footprint, merge_segments, view_axes
 
 
@@ -99,3 +100,23 @@ def random_box_model(rng, catalog, n, **kwargs) -> CabinetModel:
         for _ in range(n)
     )
     return CabinetModel(instances)
+
+
+def tilted(model: CabinetModel, seed: int) -> CabinetModel:
+    """`model` with every box turned about z by 1 to 12 degrees either way."""
+    rng = np.random.default_rng([seed, 1])
+    instances = []
+    for inst in model.instances:
+        angle = rng.uniform(1.0, 12.0) * (1.0 if rng.random() < 0.5 else -1.0)
+        box = OrientedBox(inst.box.position, inst.box.size, inst.box.rotation_deg + angle)
+        instances.append(dataclasses.replace(inst, box=box))
+    return CabinetModel(tuple(instances))
+
+
+def synthesized_models(catalog, seed: int) -> list[CabinetModel]:
+    """A default-spec and a 40-48-box model for `seed`, each also tilted."""
+    models = []
+    for spec in (SynthSpec(seed=seed), SynthSpec(seed=seed, count_range=(40, 48))):
+        model = generate(spec, catalog)
+        models += [model, tilted(model, seed)]
+    return models

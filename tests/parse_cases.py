@@ -1,16 +1,21 @@
 """Pinned parser outcomes; run as a script to re-record them.
 
-Two fixtures hold malformed and edge-case inputs together with what the
+Three fixtures hold malformed and edge-case inputs together with what the
 parser returned for each:
 
 * `parse_python`: every diagnostic (severity, code, message, line, column,
   offset, length) and the parsed model, if any;
 * `ryaml.parse`, the reader behind `parse_yaml`, `load_catalog` and
   `DrawingStyle.from_config`: every node's type, value and span plus every
-  key span, or the error message and its span.
+  key span, or the error message and its span;
+* `parse_yaml`, in lenient and strict mode: every diagnostic and the
+  model's `repr` (so ints, floats and -0.0 stay apart), or the exception
+  it raised.
 
 The inputs are hand-written lexical edge cases plus seeded mutants of
-emitted programs (and, for YAML, of the catalog texts).
+emitted programs (and, for YAML, of the catalog texts). The `parse_yaml`
+fixture also holds whole emitted programs, default-spec and 40-48 boxes,
+with and without tilted boxes.
 
 Usage: python3 tests/parse_cases.py --write
 Only re-record on a commit whose outcomes are trusted.
@@ -25,6 +30,7 @@ from pathlib import Path
 
 FIXTURE = Path(__file__).parent / "data" / "parse_python_pinned.json"
 YAML_FIXTURE = Path(__file__).parent / "data" / "parse_yaml_pinned.json"
+YAML_MODELS_FIXTURE = Path(__file__).parent / "data" / "parse_yaml_models_pinned.json"
 
 _BOX = "b0 = Box(position=(300, 200, 1000), size=(600, 400, 2000), rotation=0)"
 _MODEL = 'm0 = Model(id="M-BB01", box=b0, N=2, NKA=298, NKB=298, DBXX=1)'
@@ -185,11 +191,7 @@ def outcome(text: str, strict: bool, catalog) -> dict:
     from cabinetkit import parse_python
 
     result = parse_python(text, catalog, strict=strict)
-    diagnostics = [
-        [d.severity, d.code, d.message]
-        + ([d.span.line, d.span.column, d.span.offset, d.span.length] if d.span else [])
-        for d in result.diagnostics
-    ]
+    diagnostics = _diagnostics(result)
     model = None
     if result.model is not None:
         model = [
@@ -204,6 +206,14 @@ def outcome(text: str, strict: bool, catalog) -> dict:
             for inst in result.model.instances
         ]
     return {"text": text, "strict": strict, "diagnostics": diagnostics, "model": model}
+
+
+def _diagnostics(result) -> list[list]:
+    return [
+        [d.severity, d.code, d.message]
+        + ([d.span.line, d.span.column, d.span.offset, d.span.length] if d.span else [])
+        for d in result.diagnostics
+    ]
 
 
 YAML_EDGE_CASES = [
@@ -482,6 +492,202 @@ def yaml_outcome(text: str) -> dict:
     return {"text": text, "error": None, "node": _node(node)}
 
 
+_BB01 = (
+    "- id: M-BB01\n  name: base box\n"
+    "  position:\n  - 300\n  - 200\n  - 1000\n"
+    "  size:\n  - 600\n  - 400\n  - 2000\n"
+    "  rotation: 0\n"
+    "  params:\n    N: 2\n    NKA: 298\n    NKB: 266\n    DBXX: 1\n"
+)
+_DOOR = (
+    "- id: M-DOOR\n"
+    "  position:\n  - 10\n  - 10\n  - 10\n"
+    "  size:\n  - 5\n  - 5\n  - 5\n"
+    "  rotation: 0\n"
+)
+_PROGRAM = "cabinet:\n" + _BB01 + _DOOR
+
+
+def _bb01(old: str, new: str) -> str:
+    """`_PROGRAM` with one piece of its first entry replaced."""
+    assert old in _BB01
+    return "cabinet:\n" + _BB01.replace(old, new, 1) + _DOOR
+
+
+def _door(old: str, new: str) -> str:
+    """`_PROGRAM` with one piece of its second entry replaced."""
+    assert old in _DOOR
+    return "cabinet:\n" + _BB01 + _DOOR.replace(old, new, 1)
+
+
+_NAME = "  name: base box\n"
+_ROTATION = "  rotation: 0\n"
+_PARAMS = "  params:\n    N: 2\n    NKA: 298\n    NKB: 266\n    DBXX: 1\n"
+
+YAML_PROGRAM_CASES = [
+    _PROGRAM,
+    _PROGRAM[:-1],  # no final line feed
+    _PROGRAM.replace("\n", "\r\n"),
+    _PROGRAM.replace("- id: M-DOOR", "\n# a door\n- id: M-DOOR"),
+    _bb01(_ROTATION, "  rotation: 0 # upright\n"),
+    _bb01(_ROTATION, "  rotation:  0\n"),
+    _bb01(_ROTATION, "  rotation: 0 \n"),
+    _bb01("  - 300\n", "  -  300\n"),
+    _bb01("  position:", "   position:"),
+    _bb01(_ROTATION + _PARAMS, _PARAMS + _ROTATION),
+    _bb01("  position:\n  - 300\n  - 200\n  - 1000\n", "  position: [300, 200, 1000]\n"),
+    _bb01("  size:\n  - 600\n  - 400\n  - 2000\n", "  size:\n    - 600\n    - 400\n    - 2000\n"),
+    _bb01("  - 2000\n", ""),
+    _bb01("  - 2000\n", "  - 2000\n  - 1\n"),
+    # names
+    _bb01(_NAME, ""),
+    _bb01(_NAME, "  name: base box \n"),
+    _bb01(_NAME, "  name: base box\t\n"),
+    _bb01(_NAME, '  name: "base box"\n'),
+    _bb01(_NAME, "  name: 'base box'\n"),
+    _bb01(_NAME, "  name: 'it''s'\n"),
+    _bb01(_NAME, '  name: "a\\nb\\tc\\"d\\\\e"\n'),
+    _bb01(_NAME, '  name: "a\\qb"\n'),
+    _bb01(_NAME, '  name: "a\\u0041"\n'),
+    _bb01(_NAME, '  name: "open\n'),
+    _bb01(_NAME, '  name: ""\n'),
+    _bb01(_NAME, '  name: "a" tail\n'),
+    _bb01(_NAME, "  name: a: b\n"),
+    _bb01(_NAME, "  name: a # c\n"),
+    _bb01(_NAME, "  name: a#b\n"),
+    _bb01(_NAME, "  name: it's\n"),
+    _bb01(_NAME, "  name: yes\n"),
+    _bb01(_NAME, "  name: x\ty\n"),
+    _bb01(_NAME, "  name: a\rb\n"),
+    _bb01(_NAME, "  name: caf\u00e9 \U0001f642\n"),
+    _bb01(_NAME, "  name: -x\n"),
+    _bb01(_NAME, "  name: 12abc\n"),
+    _bb01(_NAME, "  name: 5\n"),
+    _bb01(_NAME, "  name: 5.0\n"),
+    _bb01(_NAME, "  name: [a]\n"),
+    _bb01(_NAME, "  name: []\n"),
+    _bb01(_NAME, "  name:\n    first: a\n"),
+    _bb01(_NAME, "  name:\n  - a\n"),
+    _bb01(_NAME, "  name: &a x\n"),
+    # model IDs
+    _bb01("- id: M-BB01", '- id: "M-BB01"'),
+    _bb01("- id: M-BB01", "- id: 'M-BB01'"),
+    _door("- id: M-DOOR", '- id: "M-\\"Q\\\\"'),
+    _door("- id: M-DOOR", "- id: M-MYSTERY"),
+    _door("- id: M-DOOR", '- id: ""'),
+    _door("- id: M-DOOR", "- id: 5"),
+    _door("- id: M-DOOR", "- id: [M-DOOR]"),
+    _door("- id: M-DOOR", "- id: M-DOOR "),
+    _door("- id: M-DOOR", "-  id: M-DOOR"),
+    _door("- id: M-DOOR\n", "-\n  id: M-DOOR\n"),
+    # numbers
+    _door("  - 10\n  - 10\n  - 10\n", "  - -0\n  - -0.0\n  - +5\n"),
+    _door("  - 10\n  - 10\n  - 10\n", "  - .5\n  - 5.\n  - 00012\n"),
+    _door("  - 10\n  - 10\n  - 10\n", "  - 1e5\n  - 10\n  - 10\n"),
+    _door("  - 10\n  - 10\n  - 10\n", "  - 10\n  - 10\n  - '10'\n"),
+    _door("  - 10\n  - 10\n  - 10\n", "  - " + "9" * 400 + "\n  - 10\n  - 10\n"),
+    _door("  - 10\n  - 10\n  - 10\n", "  - " + "9" * 400 + ".0\n  - 10\n  - 10\n"),
+    _door("  - 10\n  - 10\n  - 10\n", "  - " + "9" * 5000 + "\n  - 10\n  - 10\n"),
+    _door("  - 5\n  - 5\n  - 5\n", "  - 5\n  - 0\n  - 5\n"),
+    _door("  - 5\n  - 5\n  - 5\n", "  - 5\n  - 5\n  - -5\n"),
+    _door("  - 5\n  - 5\n  - 5\n", "  - 1" + "0" * 200 + "\n  - 1" + "0" * 200 + "\n  - 5\n"),
+    _door(_ROTATION, "  rotation: -90\n"),
+    _door(_ROTATION, "  rotation: 450\n"),
+    _door(_ROTATION, "  rotation: 7.25\n"),
+    _door(_ROTATION, "  rotation: -0.0\n"),
+    _door(_ROTATION, "  rotation: '0'\n"),
+    _door(_ROTATION, "  rotation: [0]\n"),
+    _door(_ROTATION, ""),
+    # parameters
+    _bb01("    N: 2\n", "    N: 2.0\n"),
+    _bb01("    N: 2\n", "    N: -0\n"),
+    _bb01("    N: 2\n", '    N: "2"\n'),
+    _bb01("    NKA: 298\n", "    NKA: 298.5\n"),
+    _bb01("    NKA: 298\n", "    NKA: -0.0\n"),
+    _bb01("    NKA: 298\n", "    NKA: 1" + "0" * 400 + ".0\n"),
+    _bb01("    DBXX: 1\n", "    DBXX: 9\n"),
+    _bb01("    DBXX: 1\n", "    DBXX: 1\n    DBXX: 2\n"),
+    _bb01("    DBXX: 1\n", "    DBXX: 1\n    n: 1\n"),
+    _bb01("    DBXX: 1\n", "    DBXX: 1\n    N1: 1\n"),
+    _bb01("    DBXX: 1\n", "    DBXX: 1\n    A.B: 1\n"),
+    _bb01("    DBXX: 1\n", "    DBXX: 1\n    QQ: 1\n"),
+    _bb01("    DBXX: 1\n", "    DBXX: 1\n    QQ: plain words\n"),
+    _bb01("    DBXX: 1\n", '    DBXX: 1\n    QQ: "a\\tb"\n'),
+    _bb01("    DBXX: 1\n", "    DBXX: 1\n    QQ: [1]\n"),
+    _bb01("    DBXX: 1\n", "    DBXX:\n"),
+    _bb01("    NKB: 266\n", ""),
+    _bb01(_PARAMS, "  params:\n"),
+    _bb01(_PARAMS, "  params: [1]\n"),
+    _bb01(_PARAMS, "  params:\n    N: 1\n    NKA: 300\n    DBXX: 1\n"),
+    _door(_ROTATION, _ROTATION + "  params:\n    TXT: x\n"),
+    "cabinet:\n" + _BB01 + _DOOR.replace("M-DOOR", "M-MYSTERY").replace(
+        _ROTATION, _ROTATION + "  params:\n    QQ: 12\n    RR: 1.50\n    SS: -0.0\n    TT: 'x'\n"
+    ),
+    # entry and document layout
+    _bb01(_ROTATION, _ROTATION + "  color: red\n"),
+    _door(_ROTATION, _ROTATION + "  \n"),
+    "version: 2\n" + _PROGRAM,
+    _PROGRAM + "version: 2\n",
+    _PROGRAM + "cabinets: []\n",
+    _PROGRAM.replace("cabinet:", "cabinets:"),
+    _PROGRAM + "cabinets:\n" + _DOOR,
+    "cabinet:\n",
+    "cabinet: []\n",
+    "cabinet: x\n",
+    "cabinet:\n- 5\n",
+    "cabinet:\n- [1]\n",
+    "- id: M-DOOR\n",
+    "",
+    "# empty\n",
+    "cabinet:\n" + "".join("  " + line for line in _DOOR.splitlines(True)),
+    " cabinet:\n" + _DOOR,
+    "cabinet: \n" + _DOOR,
+    "\ufeffcabinet:\n" + _DOOR,
+    "cabinet:\n" + _DOOR * 2,
+]
+
+
+def _yaml_programs() -> list[str]:
+    """Emitted programs: default-spec and 40-48-box models, also tilted."""
+    from cabinetkit import builtin_catalog, emit_yaml
+    from helpers import synthesized_models
+
+    catalog = builtin_catalog()
+    programs = []
+    for seed in range(12):
+        models = synthesized_models(catalog, seed)
+        if seed >= 2:  # only two seeds of the 40-48-box kind, to keep the file small
+            models = models[:2]
+        programs.extend(emit_yaml(model, catalog) for model in models)
+    return programs
+
+
+def yaml_program_inputs() -> list[str]:
+    """All inputs of the parse_yaml fixture, in a fixed order."""
+    rng = random.Random(20261018)
+    cases = list(YAML_PROGRAM_CASES)
+    for program in _yaml_programs():
+        cases.append(program)
+        cases.extend(_mutate(program, rng, _YAML_ALPHABET) for _ in range(3))
+    return cases
+
+
+def yaml_model_outcome(text: str, catalog) -> dict:
+    """What parse_yaml returns for `text`, lenient then strict, as plain JSON values."""
+    from cabinetkit import parse_yaml
+
+    record: dict = {"text": text}
+    for mode, strict in (("lenient", False), ("strict", True)):
+        try:
+            result = parse_yaml(text, catalog, strict=strict)
+        except ValueError as exc:
+            record[mode] = {"raises": f"{type(exc).__name__}: {exc}"}
+            continue
+        model = None if result.model is None else repr(result.model)
+        record[mode] = {"diagnostics": _diagnostics(result), "model": model}
+    return record
+
+
 def dumps(cases: list[dict]) -> str:
     """One case per line, ASCII only, so the file diffs case by case."""
     return "[\n" + ",\n".join(json.dumps(case, ensure_ascii=True) for case in cases) + "\n]\n"
@@ -489,17 +695,20 @@ def dumps(cases: list[dict]) -> str:
 
 def main_script() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--write", action="store_true", help="re-record the fixture")
+    parser.add_argument("--write", action="store_true", help="re-record the fixtures")
     args = parser.parse_args()
     if not args.write:
-        parser.error("pass --write to re-record the fixture")
+        parser.error("pass --write to re-record the fixtures")
     from cabinetkit import builtin_catalog
 
     catalog = builtin_catalog()
     cases = [outcome(text, strict, catalog) for text, strict in case_inputs()]
     yaml_cases = [yaml_outcome(text) for text in yaml_case_inputs()]
+    model_cases = [yaml_model_outcome(text, catalog) for text in yaml_program_inputs()]
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    for path, recorded in ((FIXTURE, cases), (YAML_FIXTURE, yaml_cases)):
+    for path, recorded in (
+        (FIXTURE, cases), (YAML_FIXTURE, yaml_cases), (YAML_MODELS_FIXTURE, model_cases)
+    ):
         path.write_text(dumps(recorded), encoding="utf-8")
         print(f"wrote {len(recorded)} cases to {path}")
     return 0

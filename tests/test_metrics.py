@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from cabinetkit import CabinetModel, OrientedBox, make_instance
 from cabinetkit.metrics import (
     DEFAULT_IOU_THRESHOLD,
+    _has_twin_lines,
     _solve_min_cost,
     evaluate_corpus,
     evaluate_sample,
@@ -13,6 +16,15 @@ from cabinetkit.metrics import (
     param_match,
 )
 from helpers import brute_force_best_total, random_box_model
+
+
+@st.composite
+def tie_heavy_ious(draw):
+    """IoU matrices up to 9 x 9, most entries exactly 0 or 1."""
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    value = st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+    rows = st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n)
+    return np.array(draw(rows), dtype=float).reshape(n, m)
 
 
 def unit_cube_model(catalog, xs, model_id="M-DOOR"):
@@ -39,18 +51,18 @@ class TestMatch:
         assert matching.unmatched_pred == ()
         assert matching.unmatched_gt == (2,)
 
-    def test_pair_count_is_min_cardinality(self, catalog):
+    def test_pairs_have_positive_iou_and_partition_both_sides(self, catalog):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             pred = random_box_model(rng, catalog, n)
             gt = random_box_model(rng, catalog, m)
             matching = match(pred, gt)
-            assert len(matching.pairs) == min(n, m)
+            assert all(iou > 0.0 for _, _, iou in matching.pairs)
             used_p = [p for p, _, _ in matching.pairs]
             used_g = [g for _, g, _ in matching.pairs]
-            assert len(set(used_p)) == len(used_p)
-            assert len(set(used_g)) == len(used_g)
+            assert sorted(used_p + list(matching.unmatched_pred)) == list(range(n))
+            assert sorted(used_g + list(matching.unmatched_gt)) == list(range(m))
 
     def test_matches_brute_force_small(self, catalog):
         rng = np.random.default_rng(42)
@@ -72,6 +84,53 @@ class TestMatch:
             got = sum(iou for _, _, iou in match(pred, gt).pairs)
             rows, cols = linear_sum_assignment(ious, maximize=True)
             assert got == pytest.approx(float(ious[rows, cols].sum()), abs=1e-12)
+
+    def test_identical_ground_truth_boxes_pair_in_row_order(self, catalog):
+        # Both predictions overlap both twins; the second one overlaps more.
+        twin = OrientedBox((500, 500, 500), (400, 400, 18))
+        gt = CabinetModel(
+            (make_instance(catalog, "M-SHAD", twin), make_instance(catalog, "M-SHFX", twin))
+        )
+        pred = CabinetModel(
+            (
+                make_instance(catalog, "M-SHAD", OrientedBox((530, 500, 500), (400, 400, 18))),
+                make_instance(catalog, "M-SHFX", OrientedBox((510, 500, 500), (400, 400, 18))),
+            )
+        )
+        assert [(i, j) for i, j, _ in match(pred, gt).pairs] == [(0, 0), (1, 1)]
+        assert evaluate_sample(pred, gt, catalog).retrieval_correct == 2
+
+    @pytest.mark.parametrize(
+        "ious, expected",
+        [([[0.6, 0.9], [0.6, 0.9]], [1, 0]), ([[0.6, 0.6], [0.9, 0.9]], [0, 1])],
+        ids=["twin-predictions", "twin-ground-truths"],
+    )
+    def test_twins_are_searched_in_row_order(self, ious, expected):
+        assert _has_twin_lines(1.0 - np.array(ious))
+        assert _solve_min_cost(1.0 - np.array(ious)) == expected
+
+    def test_constant_lines_are_not_twins(self):
+        # Padding and boxes that overlap nothing give constant rows and columns.
+        ious = np.zeros((4, 4))
+        ious[:2, :2] = [[0.5, 0.2], [0.1, 0.7]]
+        assert not _has_twin_lines(1.0 - ious)
+
+    @given(ious=tie_heavy_ious())
+    @settings(max_examples=300, deadline=None)
+    def test_solver_total_is_optimal_on_tie_heavy_matrices(self, ious):
+        n, m = ious.shape
+        size = max(n, m)
+        padded = np.zeros((size, size))
+        padded[:n, :m] = ious
+        cost = 1.0 - padded
+        assignment = _solve_min_cost(cost)
+        assert sorted(assignment) == list(range(size))
+        got = sum(cost[i, j] for i, j in enumerate(assignment))
+        rows, cols = linear_sum_assignment(cost)
+        assert got == pytest.approx(float(cost[rows, cols].sum()), abs=1e-12)
+        if size <= 6:
+            best_iou = brute_force_best_total(ious)
+            assert got == pytest.approx(size - best_iou, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_solver_rejects_non_finite_costs(self, bad):

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +25,18 @@ from cabinetkit import (
     validate,
 )
 import cabinetkit
+from cabinetkit import program, ryaml
 from cabinetkit.diagnostics import has_errors
-from helpers import awkward_text
+from helpers import awkward_text, synthesized_models, tilted
+from parse_cases import _YAML_ALPHABET, _mutate
+
+_DOOR_YAML = """\
+cabinet:
+- id: M-DOOR
+  position: [10, 10, 10]
+  size: [5, 5, 5]
+  rotation: 0
+"""
 
 TWO_STATEMENTS = """\
 b0 = Box(position=(300, 200, 1000), size=(600, 400, 2000), rotation=0)
@@ -199,6 +211,88 @@ cabinet:
         text = "cabinet:\n- id: &a M-DOOR\n  position: [1, 1, 1]\n  size: [1, 1, 1]\n  rotation: 0\n"
         result = parse_yaml(text, catalog)
         assert not result.ok
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("version: 2\n" + _DOOR_YAML, "version"),
+            (_DOOR_YAML + "cabinets: []\n", "cabinets"),
+            (_DOOR_YAML.replace("cabinet:", "cabinets:"), "cabinets"),
+        ],
+        ids=["before", "after", "instead"],
+    )
+    def test_unknown_top_level_key_is_syntax_error(self, catalog, text, key):
+        for strict in (False, True):
+            result = parse_yaml(text, catalog, strict=strict)
+            assert not result.ok
+            diag = result.diagnostics[0]
+            assert (diag.code, diag.message) == ("syntax", f"unknown top-level key {key!r}")
+            assert (diag.span.offset, diag.span.length) == (text.index(key + ":"), len(key))
+
+    @pytest.mark.parametrize(
+        "value", ["5", "5.0", "[a]", "[]", "\n    first: a"], ids=["int", "float", "seq", "empty", "map"]
+    )
+    def test_name_must_be_a_string(self, catalog, value):
+        text = _DOOR_YAML.replace("  position:", f"  name: {value}\n  position:")
+        for strict in (False, True):
+            result = parse_yaml(text, catalog, strict=strict)
+            assert not result.ok
+            assert [(d.code, d.message) for d in result.diagnostics] == [
+                ("syntax", "'name' must be a string")
+            ]
+            assert result.diagnostics[0].span.offset == text.index(value.strip())
+
+
+def _accept_path_agrees(text: str, catalog, strict: bool) -> bool:
+    """Whether the accept path took `text`; asserts that it read it as `ryaml` does."""
+    try:
+        model = program._read_emitted_yaml(text, catalog, strict)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            program._parse_yaml_tree(text, catalog, strict)
+        return True
+    if model is None:
+        return False
+    reference = program._parse_yaml_tree(text, catalog, strict)
+    assert reference.diagnostics == []
+    assert repr(model) == repr(reference.model)
+    return True
+
+
+@st.composite
+def emitted_yaml(draw, catalog):
+    """An emitted default-spec program, maybe tilted, maybe with an awkward name."""
+    seed = draw(st.integers(0, 10_000))
+    model = generate(SynthSpec(seed=seed), catalog)
+    if draw(st.booleans()):
+        model = tilted(model, seed)
+    if draw(st.booleans()):
+        first = dataclasses.replace(model.instances[0], name=draw(awkward_text()))
+        model = CabinetModel((first,) + model.instances[1:])
+    return emit_yaml(model, catalog)
+
+
+class TestYamlAcceptPath:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_emitted_programs_never_reach_the_node_reader(self, catalog, monkeypatch, seed):
+        def node_reader(text):
+            raise AssertionError("parse_yaml read an emitted program through ryaml.parse")
+
+        monkeypatch.setattr(ryaml, "parse", node_reader)
+        for model in synthesized_models(catalog, seed):
+            for strict in (False, True):
+                result = parse_yaml(emit_yaml(model, catalog), catalog, strict=strict)
+                assert result.diagnostics == []
+                assert result.model == model
+
+    @given(data=st.data(), strict=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_accept_path_agrees_with_the_node_reader(self, catalog, data, strict):
+        text = data.draw(emitted_yaml(catalog))
+        assert _accept_path_agrees(text, catalog, strict)
+        rng = data.draw(st.randoms(use_true_random=False))
+        for _ in range(4):
+            _accept_path_agrees(_mutate(text, rng, _YAML_ALPHABET), catalog, strict)
 
 
 class TestRoundTrip:
