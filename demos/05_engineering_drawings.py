@@ -10,7 +10,6 @@ live in separate named SVG groups so either can be toggled.
 from pathlib import Path
 
 from cabinetkit import (
-    AnnotateOptions,
     DimensionSet,
     DrawingStyle,
     NoiseSpec,
@@ -34,7 +33,8 @@ views = render_views(model, ["front", "top", "side"])
 for view in views:
     print(f"{view.kind:6} {len(view.segments):3d} segments")
 
-# 2. Add the annotation layer: overall and per-part dimensions plus symbols.
+# 2. Add the annotation layer: overall dimensions, every part span of at
+#    least 100 mm, and symbols.
 annotated = annotate(views, model, catalog)
 front = annotated[0]
 labels = [a.label for a in front.annotations if isinstance(a, DimensionSet)]
@@ -59,12 +59,11 @@ noisy = inject_noise(annotated, NoiseSpec(p_drop=0.08, jitter_sigma=2.0, p_spuri
 (out_dir / "cabinet_noisy.svg").write_text(to_svg(layout_sheet(noisy)))
 
 # A single view works too, as do section views cutting at a depth plane.
+# The section draws, dimensions and marks only the parts that reach behind
+# the model's mid depth: the doors in front of it drop out.
 single = annotate(render_views(model, ["front"]), model, catalog)
 (out_dir / "cabinet_front.svg").write_text(to_svg(layout_sheet(single)))
-section = annotate(
-    render_views(model, ["front", "section"]), model, catalog,
-    AnnotateOptions(instance_dims=False),
-)
+section = annotate(render_views(model, ["front", "section"]), model, catalog)
 (out_dir / "cabinet_section.svg").write_text(to_svg(layout_sheet(section)))
 
 print("\nwrote:", sorted(p.name for p in out_dir.glob("*.svg")))

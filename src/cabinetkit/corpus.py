@@ -27,7 +27,6 @@ class CorpusEntry:
     sample_id: str
     path: str
     format: str
-    seed: int | None = None
 
 
 class CorpusFormatError(ValueError):
@@ -93,7 +92,6 @@ def read_manifest(path: str | Path) -> tuple[Path, list[CorpusEntry]]:
                 sample_id=str(sample["id"]),
                 path=str(sample["file"]),
                 format=fmt,
-                seed=sample.get("seed"),
             )
         )
     ids = [e.sample_id for e in entries]

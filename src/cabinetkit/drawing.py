@@ -31,8 +31,14 @@ from .geometry import Point2, Segment
 from .program import CabinetModel
 
 DEFAULT_CANVAS_PX = 512
-DEFAULT_MARGIN_PX = 22.0
-DEFAULT_VIEW_GAP_PX = 26.0
+MARGIN_PX = 22.0
+VIEW_GAP_PX = 26.0
+
+# Instance spans at least this long are dimensioned. Dimension lines sit
+# DIM_OFFSET_MM outside the view's geometry, stacked DIM_SPACING_MM apart.
+MIN_EXTENT_MM = 100.0
+DIM_OFFSET_MM = 60.0
+DIM_SPACING_MM = 45.0
 
 ROLE_ADJUSTABLE_SHELF = "adjustable_shelf"
 ROLE_DOOR = "door"
@@ -46,28 +52,19 @@ _ANNOTATION_LAYER = "annotation"
 
 @dataclass(frozen=True)
 class DimensionSet:
-    """A measured span with extension lines and an integer-mm label."""
+    """A measured span with extension lines; its label is the span in whole mm."""
 
     start: Point2
     end: Point2
     offset: float  # signed perpendicular offset of the dimension line, mm
-    label: str
-
-    def __post_init__(self) -> None:
-        expected = render_dimension_label(self.start, self.end)
-        if self.label != expected:
-            raise ValueError(
-                f"dimension label {self.label!r} does not equal the measured "
-                f"span ({expected} mm)"
-            )
-
-    @classmethod
-    def for_span(cls, start: Point2, end: Point2, offset: float) -> "DimensionSet":
-        return cls(start, end, offset, render_dimension_label(start, end))
 
     @property
     def length(self) -> float:
         return math.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1])
+
+    @property
+    def label(self) -> str:
+        return str(int(round(self.length)))
 
     def line_points(self) -> tuple[Point2, Point2]:
         """Endpoints of the dimension line (span shifted by the offset)."""
@@ -77,10 +74,6 @@ class DimensionSet:
             (self.start[0] + px, self.start[1] + py),
             (self.end[0] + px, self.end[1] + py),
         )
-
-
-def render_dimension_label(start: Point2, end: Point2) -> str:
-    return str(int(round(math.hypot(end[0] - start[0], end[1] - start[1]))))
 
 
 def _unit(start: Point2, end: Point2) -> Point2:
@@ -108,11 +101,16 @@ Annotation = DimensionSet | SymbolMark
 
 @dataclass
 class ViewDrawing:
-    """One orthographic view: geometry segments plus annotations (mm)."""
+    """One orthographic view: geometry segments plus annotations (mm).
+
+    `drawn` lists the indices of the model instances whose boxes the view
+    draws; `annotate` dimensions and marks only those.
+    """
 
     kind: str
     segments: list[Segment] = field(default_factory=list)
     annotations: list[Annotation] = field(default_factory=list)
+    drawn: tuple[int, ...] = ()
 
 
 def render_views(
@@ -124,7 +122,8 @@ def render_views(
     """Project the model into each requested view (1 to 5 views).
 
     A ``section`` view draws, front-style, only the instances whose box
-    center lies behind the cut plane (default: the model's mid depth).
+    reaches behind the cut plane (default: the model's mid depth), that is
+    whose largest world y is greater than the cut.
     """
     if not views:
         raise ValueError("at least one view is required")
@@ -134,72 +133,53 @@ def render_views(
     for kind in views:
         if kind not in geometry.VIEW_KINDS:
             raise ValueError(f"unknown view kind {kind!r}")
-        instances = model.instances
+        drawn = tuple(range(len(model.instances)))
         if kind == geometry.VIEW_SECTION:
+            lo, hi, _ = geometry.box_bounds([instance.box for instance in model.instances])
             cut = section_cut_y
             if cut is None:
-                lo, hi = geometry.model_aabb(model)
-                cut = float((lo[1] + hi[1]) / 2.0)
-            instances = tuple(
-                inst for inst in instances if inst.box.position[1] > cut
-            )
+                cut = float((lo[:, 1].min() + hi[:, 1].max()) / 2.0)
+            drawn = tuple(np.flatnonzero(hi[:, 1] > cut).tolist())
         segments: list[Segment] = []
-        for instance in instances:
-            segments.extend(geometry.project_box(instance.box, kind))
-        out.append(ViewDrawing(kind=kind, segments=geometry.merge_segments(segments)))
+        for index in drawn:
+            segments.extend(geometry.project_box(model.instances[index].box, kind))
+        out.append(ViewDrawing(kind, geometry.merge_segments(segments), drawn=drawn))
     return out
 
 
-@dataclass(frozen=True)
-class AnnotateOptions:
-    enabled: bool = True
-    overall_dims: bool = True
-    instance_dims: bool = True
-    symbols: bool = True
-    min_extent_mm: float = 100.0
-    dim_offset_mm: float = 60.0
-    dim_spacing_mm: float = 45.0
-
-
 def annotate(
-    views: list[ViewDrawing],
-    model: CabinetModel,
-    catalog: PrimitiveCatalog,
-    options: AnnotateOptions | None = None,
+    views: list[ViewDrawing], model: CabinetModel, catalog: PrimitiveCatalog
 ) -> list[ViewDrawing]:
-    """Add dimension sets and functional symbols to rendered views."""
-    options = options or AnnotateOptions()
-    if not options.enabled:
-        return [ViewDrawing(v.kind, list(v.segments), list(v.annotations)) for v in views]
+    """Add dimension sets and functional symbols to rendered views.
 
+    Each view gets its overall width and height, the spans of the instances
+    it draws that are at least MIN_EXTENT_MM long, and, in front and
+    section views, a symbol for each drawn shelf or door.
+    """
     lo, hi, _ = geometry.box_bounds([instance.box for instance in model.instances])
     out: list[ViewDrawing] = []
     for view in views:
-        # Each instance's (h0, v0, h1, v1) extent in this view's plane.
+        # Each drawn instance's (h0, v0, h1, v1) extent in this view's plane.
         ax_h, ax_v = geometry.view_axes(view.kind)
         rects = np.column_stack((lo[:, ax_h], lo[:, ax_v], hi[:, ax_h], hi[:, ax_v])).tolist()
+        rects = [rects[i] for i in view.drawn]
         annotations = list(view.annotations)
         bbox = _segments_bbox(view.segments)
         if bbox is not None:
             h0, v0, h1, v1 = bbox
-            if options.overall_dims:
-                if h1 > h0:
-                    annotations.append(
-                        DimensionSet.for_span((h0, v0), (h1, v0), -options.dim_offset_mm)
-                    )
-                if v1 > v0:
-                    annotations.append(
-                        DimensionSet.for_span((h0, v0), (h0, v1), options.dim_offset_mm)
-                    )
-            if options.instance_dims:
-                annotations.extend(_instance_dims(rects, bbox, options))
-        if options.symbols and view.kind in (geometry.VIEW_FRONT, geometry.VIEW_SECTION):
-            annotations.extend(_symbols(rects, model, catalog))
-        out.append(ViewDrawing(view.kind, list(view.segments), annotations))
+            if h1 > h0:
+                annotations.append(DimensionSet((h0, v0), (h1, v0), -DIM_OFFSET_MM))
+            if v1 > v0:
+                annotations.append(DimensionSet((h0, v0), (h0, v1), DIM_OFFSET_MM))
+            annotations.extend(_instance_dims(rects, bbox))
+        if view.kind in (geometry.VIEW_FRONT, geometry.VIEW_SECTION):
+            instances = [model.instances[i] for i in view.drawn]
+            annotations.extend(_symbols(instances, rects, catalog))
+        out.append(ViewDrawing(view.kind, list(view.segments), annotations, view.drawn))
     return out
 
 
-def _instance_dims(rects, view_bbox, options) -> list[DimensionSet]:
+def _instance_dims(rects, view_bbox) -> list[DimensionSet]:
     """Dimension salient instance spans: widths above, heights to the right."""
     _, _, view_h1, view_v1 = view_bbox
     dims: list[DimensionSet] = []
@@ -208,26 +188,26 @@ def _instance_dims(rects, view_bbox, options) -> list[DimensionSet]:
     h_stack = 0
     v_stack = 0
     for h0, v0, h1, v1 in rects:
-        if h1 - h0 >= options.min_extent_mm:
+        if h1 - h0 >= MIN_EXTENT_MM:
             key = (round(h0), round(h1))
             if key not in seen_h:
                 seen_h.add(key)
-                offset = (view_v1 - v1) + options.dim_offset_mm + h_stack * options.dim_spacing_mm
-                dims.append(DimensionSet.for_span((h0, v1), (h1, v1), offset))
+                offset = (view_v1 - v1) + DIM_OFFSET_MM + h_stack * DIM_SPACING_MM
+                dims.append(DimensionSet((h0, v1), (h1, v1), offset))
                 h_stack += 1
-        if v1 - v0 >= options.min_extent_mm:
+        if v1 - v0 >= MIN_EXTENT_MM:
             key = (round(v0), round(v1))
             if key not in seen_v:
                 seen_v.add(key)
-                offset = (view_h1 - h1) + options.dim_offset_mm + v_stack * options.dim_spacing_mm
-                dims.append(DimensionSet.for_span((h1, v0), (h1, v1), -offset))
+                offset = (view_h1 - h1) + DIM_OFFSET_MM + v_stack * DIM_SPACING_MM
+                dims.append(DimensionSet((h1, v0), (h1, v1), -offset))
                 v_stack += 1
     return dims
 
 
-def _symbols(rects, model, catalog: PrimitiveCatalog) -> list[SymbolMark]:
+def _symbols(instances, rects, catalog: PrimitiveCatalog) -> list[SymbolMark]:
     marks: list[SymbolMark] = []
-    for instance, (h0, v0, h1, v1) in zip(model.instances, rects):
+    for instance, (h0, v0, h1, v1) in zip(instances, rects):
         schema = catalog.get(instance.model_id)
         if schema is None or schema.role is None:
             continue
@@ -276,7 +256,7 @@ def inject_noise(views: list[ViewDrawing], spec: NoiseSpec, seed: int) -> list[V
             count = int(rng.binomial(len(view.segments), spec.p_spurious))
             for _ in range(count):
                 segments.append(_spurious_segment(rng, bbox))
-        out.append(ViewDrawing(view.kind, segments, list(view.annotations)))
+        out.append(ViewDrawing(view.kind, segments, list(view.annotations), view.drawn))
     return out
 
 
@@ -301,7 +281,6 @@ class PlacedView:
 @dataclass(frozen=True)
 class Sheet:
     canvas_px: int
-    margin_px: float
     scale: float
     views: tuple[PlacedView, ...]
 
@@ -337,13 +316,7 @@ def _view_extent(view: ViewDrawing) -> tuple[float, float, float, float]:
     return min(hs), min(vs), max(hs), max(vs)
 
 
-def layout_sheet(
-    views: list[ViewDrawing],
-    canvas: int = DEFAULT_CANVAS_PX,
-    *,
-    margin: float = DEFAULT_MARGIN_PX,
-    gap: float = DEFAULT_VIEW_GAP_PX,
-) -> Sheet:
+def layout_sheet(views: list[ViewDrawing], canvas: int = DEFAULT_CANVAS_PX) -> Sheet:
     """Place 1-5 views on the canvas with one shared scale.
 
     The canonical {front, top, side} set follows the third-angle layout
@@ -354,11 +327,11 @@ def layout_sheet(
         raise ValueError("a sheet holds between 1 and 5 views")
     kinds = [v.kind for v in views]
     if sorted(kinds) == ["front", "side", "top"]:
-        return _layout_canonical(views, canvas, margin, gap)
-    return _layout_grid(views, canvas, margin, gap)
+        return _layout_canonical(views, canvas)
+    return _layout_grid(views, canvas)
 
 
-def _layout_canonical(views, canvas, margin, gap) -> Sheet:
+def _layout_canonical(views, canvas) -> Sheet:
     by_kind = {v.kind: v for v in views}
     front = _view_extent(by_kind["front"])
     top = _view_extent(by_kind["top"])
@@ -375,15 +348,15 @@ def _layout_canonical(views, canvas, margin, gap) -> Sheet:
 
     total_w = (col1_h1 - col1_h0) + col2_w
     total_h = (row_top_v1 - row_top_v0) + (row_bot_v1 - row_bot_v0)
-    avail = canvas - 2 * margin - gap
+    avail = canvas - 2 * MARGIN_PX - VIEW_GAP_PX
     scale = min(avail / total_w, avail / total_h)
 
-    origin_x = (canvas - (scale * total_w + gap)) / 2.0
-    origin_y = (canvas - (scale * total_h + gap)) / 2.0
+    origin_x = (canvas - (scale * total_w + VIEW_GAP_PX)) / 2.0
+    origin_y = (canvas - (scale * total_h + VIEW_GAP_PX)) / 2.0
     col1_x = origin_x
-    col2_x = origin_x + scale * (col1_h1 - col1_h0) + gap
+    col2_x = origin_x + scale * (col1_h1 - col1_h0) + VIEW_GAP_PX
     row_top_base = origin_y + scale * (row_top_v1 - row_top_v0)  # py of v = row_top_v0
-    row_bot_base = row_top_base + gap + scale * (row_bot_v1 - row_bot_v0)
+    row_bot_base = row_top_base + VIEW_GAP_PX + scale * (row_bot_v1 - row_bot_v0)
 
     placed = []
     for view in views:  # preserve caller order
@@ -399,30 +372,30 @@ def _layout_canonical(views, canvas, margin, gap) -> Sheet:
             placed.append(
                 PlacedView(view, col2_x - scale * side[0], row_bot_base + scale * row_bot_v0)
             )
-    return Sheet(canvas_px=canvas, margin_px=margin, scale=scale, views=tuple(placed))
+    return Sheet(canvas_px=canvas, scale=scale, views=tuple(placed))
 
 
 _GRID_SHAPES = {1: (1, 1), 2: (1, 2), 3: (1, 3), 4: (2, 2), 5: (2, 3)}
 
 
-def _layout_grid(views, canvas, margin, gap) -> Sheet:
+def _layout_grid(views, canvas) -> Sheet:
     rows, cols = _GRID_SHAPES[len(views)]
     extents = [_view_extent(v) for v in views]
     cell_w = max(e[2] - e[0] for e in extents)
     cell_h = max(e[3] - e[1] for e in extents)
-    avail_w = canvas - 2 * margin - (cols - 1) * gap
-    avail_h = canvas - 2 * margin - (rows - 1) * gap
+    avail_w = canvas - 2 * MARGIN_PX - (cols - 1) * VIEW_GAP_PX
+    avail_h = canvas - 2 * MARGIN_PX - (rows - 1) * VIEW_GAP_PX
     scale = min(avail_w / (cols * cell_w), avail_h / (rows * cell_h))
-    used_w = cols * scale * cell_w + (cols - 1) * gap
-    used_h = rows * scale * cell_h + (rows - 1) * gap
+    used_w = cols * scale * cell_w + (cols - 1) * VIEW_GAP_PX
+    used_h = rows * scale * cell_h + (rows - 1) * VIEW_GAP_PX
     origin_x = (canvas - used_w) / 2.0
     origin_y = (canvas - used_h) / 2.0
 
     placed = []
     for index, (view, extent) in enumerate(zip(views, extents)):
         row, col = divmod(index, cols)
-        cell_x = origin_x + col * (scale * cell_w + gap)
-        cell_y = origin_y + row * (scale * cell_h + gap)
+        cell_x = origin_x + col * (scale * cell_w + VIEW_GAP_PX)
+        cell_y = origin_y + row * (scale * cell_h + VIEW_GAP_PX)
         # center the view inside its cell
         w = extent[2] - extent[0]
         h = extent[3] - extent[1]
@@ -431,7 +404,7 @@ def _layout_grid(views, canvas, margin, gap) -> Sheet:
         dx = cell_x + pad_x - scale * extent[0]
         dy = cell_y + pad_y + scale * extent[3]
         placed.append(PlacedView(view, dx, dy))
-    return Sheet(canvas_px=canvas, margin_px=margin, scale=scale, views=tuple(placed))
+    return Sheet(canvas_px=canvas, scale=scale, views=tuple(placed))
 
 
 @dataclass(frozen=True)

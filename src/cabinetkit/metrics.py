@@ -170,29 +170,27 @@ def param_match(
     a: dict[str, ParamValue],
     b: dict[str, ParamValue],
     schema: PrimitiveSchema,
-    length_tol_mm: float = 0.0,
 ) -> bool:
     """True iff the key sets are equal and every value matches.
 
-    Length-typed values compare within length_tol_mm; everything else must
-    be exactly equal after canonicalization (ints and integral floats of
-    equal value match for numeric kinds).
+    Two numbers match when their floats are equal, so an int and an
+    integral float of equal value match. Any other pair of values must be
+    equal, except that a length-typed value that is not a number never
+    matches.
     """
     if set(a) != set(b):
         return False
     for key, value_a in a.items():
         value_b = b[key]
-        param = schema.schema_for(key)
-        if param is not None and param.kind == KIND_LENGTH:
-            if not (_is_number(value_a) and _is_number(value_b)):
-                return False
-            if abs(float(value_a) - float(value_b)) > length_tol_mm:
-                return False
-        elif _is_number(value_a) and _is_number(value_b):
+        if _is_number(value_a) and _is_number(value_b):
             if float(value_a) != float(value_b):
                 return False
         elif value_a != value_b:
             return False
+        else:
+            param = schema.schema_for(key)
+            if param is not None and param.kind == KIND_LENGTH:
+                return False
     return True
 
 
@@ -236,7 +234,6 @@ def evaluate_sample(
     catalog: PrimitiveCatalog,
     iou_thresh: float = DEFAULT_IOU_THRESHOLD,
     *,
-    length_tol_mm: float = 0.0,
     retrieval_over_all_pairs: bool = False,
     sample_id: str = "",
 ) -> SampleReport:
@@ -276,7 +273,7 @@ def evaluate_sample(
         if schema is None:
             matches = pred_inst.params == gt_inst.params
         else:
-            matches = param_match(pred_inst.params, gt_inst.params, schema, length_tol_mm)
+            matches = param_match(pred_inst.params, gt_inst.params, schema)
         if matches:
             report.param_correct += 1
     return report
@@ -351,7 +348,6 @@ def evaluate_corpus(
     catalog: PrimitiveCatalog,
     iou_thresh: float = DEFAULT_IOU_THRESHOLD,
     *,
-    length_tol_mm: float = 0.0,
     retrieval_over_all_pairs: bool = False,
 ) -> CorpusReport:
     """Evaluate (sample_id, pred, gt) triples; pred=None counts a parse failure.
@@ -366,7 +362,6 @@ def evaluate_corpus(
             gt,
             catalog,
             iou_thresh,
-            length_tol_mm=length_tol_mm,
             retrieval_over_all_pairs=retrieval_over_all_pairs,
             sample_id=sample_id,
         )

@@ -91,21 +91,6 @@ class ParseResult:
         return self.model is not None
 
 
-# ---------------------------------------------------------------------------
-# Parameter rendering shared by both emitters (the digits come from ryaml).
-
-
-def format_param_value(value: ParamValue, *, quote) -> str:
-    """Type-preserving rendering: ints bare, floats with a decimal point."""
-    if isinstance(value, bool):
-        raise ValueError("boolean parameter values are not supported")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return ryaml.format_float(value)
-    return quote(value)
-
-
 def _quote_py(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -465,6 +450,9 @@ def _finish_instance(
     diags: list[Diagnostic],
 ) -> PrimitiveInstance | None:
     """Check the instance against the catalog; `id_span()` locates its findings."""
+    if not model_id:
+        diags.append(error("empty-id", "model ID must be non-empty", id_span()))
+        return None
     schema = catalog.get(model_id)
     if schema is None:
         message = f"unknown model ID {model_id!r}"
@@ -507,7 +495,8 @@ def emit_python(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
         )
         args = [f"id={_quote_py(instance.model_id)}", f"box=box_{k}"]
         for key, value in instance.params.items():
-            args.append(f"{key}={format_param_value(value, quote=_quote_py)}")
+            rendered = _quote_py(value) if isinstance(value, str) else ryaml.format_scalar(value)
+            args.append(f"{key}={rendered}")
         lines.append(f"model_{k} = Model({', '.join(args)})")
     return "\n".join(lines) + "\n"
 
@@ -795,8 +784,7 @@ def emit_yaml(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
         if instance.params:
             lines.append("  params:")
             for key, value in instance.params.items():
-                rendered = format_param_value(value, quote=ryaml.format_string)
-                lines.append(f"    {key}: {rendered}")
+                lines.append(f"    {key}: {ryaml.format_scalar(value)}")
     return "\n".join(lines) + "\n"
 
 

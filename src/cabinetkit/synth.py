@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import PrimitiveCatalog, builtin_catalog
 from .geometry import OrientedBox, model_aabb
-from .program import MAX_INSTANCES, SIZE_FILTER_MM, CabinetModel, PrimitiveInstance, make_instance
+from .program import MAX_INSTANCES, CabinetModel, PrimitiveInstance, make_instance
 
 # Keep every corner at least this far from the world origin so that decoded
 # (quantization-shifted) boxes still sit inside the first octant.
@@ -53,19 +53,15 @@ class PerturbSpec:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Generator configuration; ranges must stay inside the dataset filters."""
+    """Generator configuration; the count range must stay inside the dataset filters."""
 
     seed: int = 0
     count_range: tuple[int, int] = (1, MAX_INSTANCES)
-    size_range_mm: tuple[float, float] = SIZE_FILTER_MM
 
     def __post_init__(self) -> None:
         lo, hi = self.count_range
         if not 1 <= lo <= hi <= MAX_INSTANCES:
             raise ValueError(f"count_range must lie within [1, {MAX_INSTANCES}]")
-        slo, shi = self.size_range_mm
-        if not SIZE_FILTER_MM[0] <= slo <= shi <= SIZE_FILTER_MM[1]:
-            raise ValueError("size_range_mm must lie within [%g, %g]" % SIZE_FILTER_MM)
 
 
 def generate(spec: SynthSpec, catalog: PrimitiveCatalog | None = None) -> CabinetModel:
@@ -73,11 +69,10 @@ def generate(spec: SynthSpec, catalog: PrimitiveCatalog | None = None) -> Cabine
     catalog = catalog or builtin_catalog()
     rng = np.random.default_rng(spec.seed)
     t = int(catalog.divider_thickness_mm)
-    slo, shi = spec.size_range_mm
 
-    width = int(rng.integers(max(620, int(slo)), min(2400, int(shi)) + 1))
-    depth = int(rng.integers(max(260, int(slo)), min(640, int(shi)) + 1))
-    height = int(rng.integers(max(560, int(slo)), min(2320, int(shi)) + 1))
+    width = int(rng.integers(620, 2400 + 1))
+    depth = int(rng.integers(260, 640 + 1))
+    height = int(rng.integers(560, 2320 + 1))
     m = ORIGIN_MARGIN_MM
 
     interior_w = width - 2 * t

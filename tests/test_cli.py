@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,19 @@ class TestEval:
         assert report["parse_failures"] == 1
         assert [s["parse_failed"] for s in report["samples"]] == [False, True, False, False]
         assert "parse failures: 1" in capsys.readouterr().out
+
+    def test_empty_model_id_counts_as_parse_failure(self, corpus_dir, tmp_path, capsys):
+        pred_dir = tmp_path / "pred"
+        shutil.copytree(corpus_dir, pred_dir)
+        broken = pred_dir / "000002.py"
+        broken.write_text(
+            broken.read_text(encoding="utf-8").replace('id="M-BB01"', 'id=""'), encoding="utf-8"
+        )
+        out = tmp_path / "report.json"
+        assert run("eval", "--pred", pred_dir, "--gt", corpus_dir, "--out", out) == 0
+        report = json.loads(out.read_text())
+        assert report["parse_failures"] == 1
+        assert [s["parse_failed"] for s in report["samples"]] == [False, False, True, False]
 
     def test_jobs_option_is_gone(self, corpus_dir):
         with pytest.raises(SystemExit) as err:

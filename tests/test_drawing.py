@@ -13,7 +13,7 @@ from cabinetkit import (
 )
 from cabinetkit.drawing import (
     DEFAULT_CANVAS_PX,
-    AnnotateOptions,
+    MARGIN_PX,
     DimensionSet,
     DrawingStyle,
     NoiseSpec,
@@ -25,6 +25,8 @@ from cabinetkit.drawing import (
     to_svg,
 )
 from cabinetkit.geometry import model_aabb
+
+from helpers import box_corners
 
 
 def geometry_group(svg: str) -> str:
@@ -63,6 +65,26 @@ class TestRenderViews:
         model = CabinetModel((front_box, back_box))
         section = render_views(model, ["section"], section_cut_y=5.0)[0]
         assert len(section.segments) == 4  # only the back instance
+
+    def test_section_of_synthesized_models(self, catalog):
+        """The default cut at mid depth draws every box that reaches behind it."""
+        for seed in range(20):
+            model = generate(SynthSpec(seed=seed), catalog)
+            section = render_views(model, ["section"])[0]
+            lo, hi = model_aabb(model)
+            cut = (lo[1] + hi[1]) / 2.0
+            far = [box_corners(inst.box)[:, 1].max() for inst in model.instances]
+            assert section.drawn == tuple(i for i, y in enumerate(far) if y > cut)
+            assert section.segments
+            drawn_ids = [model.instances[i].model_id for i in section.drawn]
+            assert "M-DOOR" not in drawn_ids and "M-BB01" in drawn_ids
+            # Symbols mark only the drawn instances: shelves, never doors.
+            marks = [
+                a for a in annotate([section], model, catalog)[0].annotations
+                if isinstance(a, SymbolMark)
+            ]
+            assert len(marks) == drawn_ids.count("M-SHAD")
+            assert all(m.kind == "adjustable_shelf_circle" for m in marks)
 
     def test_view_count_limits(self, catalog, simple_model):
         with pytest.raises(ValueError):
@@ -104,18 +126,17 @@ class TestAnnotate:
         ]
         assert len(triangles) == 1
 
-    def test_disabled_is_identity(self, catalog, simple_model):
-        views = render_views(simple_model, ["front", "top"])
-        out = annotate(views, simple_model, catalog, AnnotateOptions(enabled=False))
-        assert out == views
-
-    def test_min_extent_threshold(self, catalog, simple_model):
-        views = render_views(simple_model, ["front"])
-        few = annotate(views, simple_model, catalog, AnnotateOptions(min_extent_mm=1e9))
-        many = annotate(views, simple_model, catalog, AnnotateOptions(min_extent_mm=10))
-        def dims(v):
-            return [a for a in v[0].annotations if isinstance(a, DimensionSet)]
-        assert len(dims(few)) < len(dims(many))
+    def test_min_extent_threshold(self, catalog):
+        """A 100 mm span is dimensioned, a 99 mm span is not."""
+        at = make_instance(catalog, "M-SHFX", OrientedBox((100, 50, 50), (100, 40, 40)))
+        below = make_instance(catalog, "M-SHFX", OrientedBox((300, 50, 50), (99, 40, 40)))
+        model = CabinetModel((at, below))
+        view = annotate(render_views(model, ["front"]), model, catalog)[0]
+        spans = sorted(
+            (a.start, a.end) for a in view.annotations if isinstance(a, DimensionSet)
+        )
+        overall = [((50.0, 30.0), (349.5, 30.0)), ((50.0, 30.0), (50.0, 70.0))]
+        assert spans == sorted(overall + [((50.0, 70.0), (150.0, 70.0))])
 
     def test_labels_parse_back_to_span(self, catalog):
         for seed in range(10):
@@ -129,10 +150,6 @@ class TestAnnotate:
                         )
                         assert int(ann.label) == round(measured)
                         assert abs(int(ann.label) - measured) < 1e-9
-
-    def test_dimension_label_must_be_truthful(self):
-        with pytest.raises(ValueError):
-            DimensionSet((0.0, 0.0), (100.0, 0.0), 10.0, "999")
 
 
 class TestLayout:
@@ -163,7 +180,7 @@ class TestLayout:
         ]
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
-        canvas, margin = sheet.canvas_px, sheet.margin_px
+        canvas, margin = sheet.canvas_px, MARGIN_PX
         assert min(xs) >= margin - 1e-6 and max(xs) <= canvas - margin + 1e-6
         assert min(ys) >= margin - 1e-6 and max(ys) <= canvas - margin + 1e-6
         # centered: symmetric slack
@@ -184,7 +201,7 @@ class TestLayout:
                     )
         span_x = max(p[0] for p in points) - min(p[0] for p in points)
         span_y = max(p[1] for p in points) - min(p[1] for p in points)
-        expected = sheet.canvas_px - 2 * sheet.margin_px
+        expected = sheet.canvas_px - 2 * MARGIN_PX
         assert max(span_x, span_y) == pytest.approx(expected, abs=1e-6)
 
     def test_all_views_inside_canvas(self, catalog):

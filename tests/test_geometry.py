@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cabinetkit import (
-    AnnotateOptions,
     CabinetModel,
     OrientedBox,
     SynthSpec,
@@ -17,7 +16,7 @@ from cabinetkit import (
     render_views,
     validate,
 )
-from cabinetkit import geometry
+from cabinetkit import drawing, geometry
 from cabinetkit.geometry import (
     CLIP_EPS,
     OCTANT_EPS,
@@ -437,11 +436,11 @@ class TestBoxBounds:
     def test_annotate_matches_corner_enumeration(self, catalog, boxes):
         model = _model(catalog, boxes)
         views = render_views(model, ["front", "top", "side", "section"])
-        options = AnnotateOptions(min_extent_mm=1e-9)  # dimension every instance
-        annotated = annotate(views, model, catalog, options)
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(drawing, "MIN_EXTENT_MM", 1e-9)  # dimension every instance
+            annotated = annotate(views, model, catalog)
             patch.setattr(geometry, "box_bounds", _corner_bounds)
-            reference = annotate(views, model, catalog, options)
+            reference = annotate(views, model, catalog)
         assert annotated == reference
 
 

@@ -254,8 +254,7 @@ class TestParamMatch:
 
     def test_length_tolerance(self, catalog):
         schema = catalog.require("M-BB01")
-        assert not param_match({"NKA": 300}, {"NKA": 301}, schema, length_tol_mm=0)
-        assert param_match({"NKA": 300}, {"NKA": 301}, schema, length_tol_mm=2)
+        assert not param_match({"NKA": 300}, {"NKA": 301}, schema)
 
     def test_key_set_mismatch(self, catalog):
         schema = catalog.require("M-BB01")

@@ -97,6 +97,18 @@ class TestParsePython:
         # unknown params preserved verbatim, as text
         assert lenient.model.instances[0].params == {"QQ": "12"}
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_empty_model_id_is_an_error_at_the_id(self, catalog, strict):
+        text = (
+            "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n"
+            'm0 = Model(id="", box=b0)\n'
+        )
+        result = parse_python(text, catalog, strict=strict)
+        assert not result.ok
+        assert [(d.severity, d.code, str(d.span)) for d in result.diagnostics] == [
+            ("error", "empty-id", "2:15")
+        ]
+
     def test_unknown_param_on_known_model_preserved_as_text(self, catalog):
         text = (
             "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n"
@@ -241,6 +253,20 @@ cabinet:
                 ("syntax", "'name' must be a string")
             ]
             assert result.diagnostics[0].span.offset == text.index(value.strip())
+
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_empty_model_id_is_an_error_at_the_id(self, catalog, strict):
+        door = CabinetModel((make_instance(catalog, "M-DOOR", OrientedBox((9, 9, 9), (5, 5, 5))),))
+        emitted = emit_yaml(door, catalog)  # laid out for the one-regex accept path
+        texts = [_DOOR_YAML.replace("M-DOOR", '""'), _DOOR_YAML.replace("M-DOOR", "''"),
+                 emitted.replace("- id: M-DOOR", '- id: ""')]
+        for text in texts:
+            result = parse_yaml(text, catalog, strict=strict)
+            assert not result.ok
+            assert [(d.severity, d.code, str(d.span)) for d in result.diagnostics] == [
+                ("error", "empty-id", "2:7")
+            ]
 
 
 def _accept_path_agrees(text: str, catalog, strict: bool) -> bool:

@@ -81,8 +81,6 @@ class TestGenerate:
             SynthSpec(count_range=(0, 10))
         with pytest.raises(ValueError):
             SynthSpec(count_range=(5, 100))
-        with pytest.raises(ValueError):
-            SynthSpec(size_range_mm=(50.0, 1000.0))
 
 
 class TestPerturb:
