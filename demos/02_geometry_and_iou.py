@@ -7,7 +7,7 @@ makes the IoU exact (no sampling) and cheap.
 
 import numpy as np
 
-from cabinetkit import OrientedBox, box_footprint, iou3d, project_box
+from cabinetkit import OrientedBox, box_footprint, iou3d, merge_segments, project_box
 from cabinetkit.geometry import box_bounds
 
 # A box is its center, its extents, and a rotation about z in degrees.
@@ -34,8 +34,9 @@ print("iou(a, a shifted by 1.0) =", iou3d(a, OrientedBox((1.0, 0, 0), (1, 1, 1))
 b = OrientedBox((0.3, 0.2, 0), (1, 1, 1), rotation_deg=30)
 print("iou(a, rotated b) =", round(iou3d(a, b), 6))
 
-# Orthographic projections give the drawing geometry. An axis-aligned box
-# projects to its 4 silhouette segments; a rotated one shows interior edges.
-print("\nfront view of an axis-aligned box:", len(project_box(a, "front")), "segments")
-print("front view of the 45-degree box: ", len(project_box(box, "front")), "segments")
-print("top view of the 45-degree box:  ", len(project_box(box, "top")), "segments")
+# Orthographic projections give the drawing geometry. Merged, as
+# render_views merges each view, an axis-aligned box projects to its 4
+# silhouette segments; a rotated one shows interior edges.
+print("\nfront view of an axis-aligned box:", len(merge_segments(project_box(a, "front"))), "segments")
+print("front view of the 45-degree box: ", len(merge_segments(project_box(box, "front"))), "segments")
+print("top view of the 45-degree box:  ", len(merge_segments(project_box(box, "top"))), "segments")

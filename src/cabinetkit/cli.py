@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import codec, corpus, drawing, metrics, program, synth
 from .catalog import CatalogError, PrimitiveCatalog, builtin_catalog, load_catalog
-from .diagnostics import has_errors
+from .diagnostics import error, has_errors
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -73,7 +73,13 @@ def cmd_convert(args) -> int:
     elif args.to == "yaml":
         text = program.emit_yaml(result.model, catalog)
     else:  # commands
-        text = codec.format_commands(codec.encode(result.model, catalog))
+        try:
+            sequence = codec.encode(result.model, catalog)
+        except KeyError as exc:  # a model ID outside the catalog has no slot
+            message = f"cannot encode commands: {exc.args[0]}"
+            _print_diagnostics([error("unknown-model", message)], prefix=f"{in_path}:")
+            return EXIT_DIAGNOSTICS
+        text = codec.format_commands(sequence)
     Path(args.output).write_text(text, encoding="utf-8")
     return EXIT_OK
 

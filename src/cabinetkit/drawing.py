@@ -119,7 +119,7 @@ def render_views(
     *,
     section_cut_y: float | None = None,
 ) -> list[ViewDrawing]:
-    """Project the model into each requested view (1 to 5 views).
+    """Draw each requested view (1 to 5): its boxes' wireframes, merged once.
 
     A ``section`` view draws, front-style, only the instances whose box
     reaches behind the cut plane (default: the model's mid depth), that is

@@ -298,14 +298,14 @@ def model_aabb(model: "CabinetModel") -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_box(box: OrientedBox, view: str) -> list[Segment]:
-    """Orthographic wireframe of the box in a principal view.
+    """Orthographic wireframe of the box in a principal view, unmerged.
 
     The top view is the footprint's four edges. The other views span the
     footprint along the view's horizontal axis: a horizontal across that
     span at each end of the z interval, and a vertical over the z interval
-    at each footprint corner. `merge_segments` drops segments no longer than
-    CLIP_EPS and merges collinear overlapping ones, so a right-angle box
-    projects to exactly its 4 silhouette segments.
+    at each footprint corner. A right-angle box thus gives each vertical
+    twice in `front`, `side` and `section`; `render_views` merges each view
+    once, which removes them and drops segments no longer than CLIP_EPS.
     """
     ax_h, _ = view_axes(view)
     footprint = box_footprint(box)
@@ -316,7 +316,7 @@ def project_box(box: OrientedBox, view: str) -> list[Segment]:
         hs = [corner[ax_h] for corner in footprint]
         segments = [((min(hs), z), (max(hs), z)) for z in (z0, z1)]
         segments += [((h, z0), (h, z1)) for h in hs]
-    return merge_segments(segments)
+    return segments
 
 
 def view_axes(view: str) -> tuple[int, int]:

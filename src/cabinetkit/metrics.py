@@ -173,9 +173,10 @@ def param_match(
 ) -> bool:
     """True iff the key sets are equal and every value matches.
 
-    Two numbers match when their floats are equal, so an int and an
-    integral float of equal value match. Any other pair of values must be
-    equal, except that a length-typed value that is not a number never
+    Two numbers match when they are equal in value: Python compares an int
+    and a float exactly, so 160 and 160.0 match, and an int beyond the
+    float range compares without an error. Any other pair of values must
+    be equal, except that a length-typed value that is not a number never
     matches.
     """
     if set(a) != set(b):
@@ -183,7 +184,7 @@ def param_match(
     for key, value_a in a.items():
         value_b = b[key]
         if _is_number(value_a) and _is_number(value_b):
-            if float(value_a) != float(value_b):
+            if value_a != value_b:
                 return False
         elif value_a != value_b:
             return False

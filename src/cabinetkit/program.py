@@ -870,7 +870,7 @@ def _check_width_closure(index, instance, schema, catalog) -> list[Diagnostic]:
         return []
     thickness = catalog.divider_thickness_mm
     interior = instance.box.size[0] - 2 * thickness
-    needed = sum(nk_values) + (n - 1) * thickness
+    needed = sum(map(_to_float, nk_values)) + _to_float(n - 1) * thickness
     if needed > interior + 1e-6:
         return [
             warning(

@@ -13,8 +13,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def build_all(dest: Path) -> list[str]:
     """Run the fixed CLI recipe into `dest`; returns the relative file list."""
-    from cabinetkit import builtin_catalog, save_catalog
+    from cabinetkit import SynthSpec, builtin_catalog, emit_python, generate, save_catalog
     from cabinetkit.cli import main
+    from helpers import tilted
 
     dest.mkdir(parents=True, exist_ok=True)
     corpus = dest / "corpus"
@@ -32,6 +33,20 @@ def build_all(dest: Path) -> list[str]:
     run(
         "render", model, dest / "render_noise.svg",
         "--views", "front,top", "--noise-seed", 11,
+        "--p-drop", 0.1, "--jitter", 1.0, "--p-spurious", 0.05,
+    )
+    # Tilted drawings: every box turned 1-12 degrees either way.
+    catalog = builtin_catalog()
+    for name, spec in (
+        ("tilted", SynthSpec(seed=7)),
+        ("tilted_dense", SynthSpec(seed=7, count_range=(40, 48))),
+    ):
+        program = dest / f"{name}.py"
+        program.write_text(emit_python(tilted(generate(spec, catalog), 7), catalog), encoding="utf-8")
+        run("render", program, dest / f"render_{name}.svg", "--views", "front,top,side,section")
+    run(
+        "render", dest / "tilted.py", dest / "render_tilted_noise.svg",
+        "--views", "front,top,side,section", "--noise-seed", 11,
         "--p-drop", 0.1, "--jitter", 1.0, "--p-spurious", 0.05,
     )
     run("eval", "--pred", corpus, "--gt", corpus, "--out", dest / "report.json")

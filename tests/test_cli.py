@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -39,10 +40,23 @@ def _copy_with_non_utf8(corpus_dir, out_dir, index):
     return out_dir
 
 
+def _put_huge_nka(path):
+    """Give the program's NKA parameters a value far beyond the float range."""
+    text = path.read_text(encoding="utf-8")
+    assert "NKA=" in text
+    path.write_text(re.sub(r"NKA=\d+", "NKA=" + "9" * 400, text), encoding="utf-8")
+
+
 class TestExitCodes:
     def test_valid_file_exits_zero(self, model_file, capsys):
         assert run("validate", model_file, "--filters") == 0
         assert capsys.readouterr().out == ""
+
+    def test_int_beyond_float_range_exits_one(self, model_file, capsys):
+        _put_huge_nka(model_file)
+        assert run("validate", model_file) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if ":error: " in line]
+        assert len(errors) == 1 and errors[0].endswith("[param-value]")
 
     def test_overlong_model_exits_one(self, tmp_path, catalog, capsys):
         lines = []
@@ -91,6 +105,15 @@ class TestConvert:
         bad = tmp_path / "bad.py"
         bad.write_text("this is not a shape program\n", encoding="utf-8")
         assert run("convert", bad, tmp_path / "out.yaml", "--to", "yaml") == 1
+
+    def test_unknown_model_id_to_commands_exits_one(self, model_file, tmp_path, capsys):
+        # Lenient parsing keeps the ID with a warning; it has no command slot.
+        text = model_file.read_text(encoding="utf-8").replace('id="M-BB01"', 'id="M-NOPE"')
+        model_file.write_text(text, encoding="utf-8")
+        out = tmp_path / "m.cmds"
+        assert run("convert", model_file, out, "--to", "commands") == 1
+        assert "error: cannot encode commands: unknown model_id 'M-NOPE' [unknown-model]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRender:
@@ -278,6 +301,15 @@ class TestEval:
         report = json.loads(out.read_text())
         assert report["parse_failures"] == 1
         assert [s["parse_failed"] for s in report["samples"]] == [False, False, True, False]
+
+    def test_int_beyond_float_range_is_scored(self, corpus_dir, tmp_path):
+        pred_dir = tmp_path / "pred"
+        shutil.copytree(corpus_dir, pred_dir)
+        _put_huge_nka(pred_dir / "000000.py")
+        out = tmp_path / "report.json"
+        assert run("eval", "--pred", pred_dir, "--gt", corpus_dir, "--out", out) == 0
+        totals = json.loads(out.read_text())["totals"]
+        assert totals["param_correct"] == totals["param_total"] - 1
 
     def test_jobs_option_is_gone(self, corpus_dir):
         with pytest.raises(SystemExit) as err:

@@ -300,7 +300,7 @@ class TestPairwiseIoU:
 
 class TestProjection:
     def test_axis_aligned_front_view_is_rectangle(self):
-        segments = project_box(box((5, 5, 5), (2, 4, 6)), "front")
+        segments = merge_segments(project_box(box((5, 5, 5), (2, 4, 6)), "front"))
         assert len(segments) == 4
 
     def test_rotated_top_view_is_rotated_rectangle(self):
@@ -453,6 +453,10 @@ def _wide_footprint(b):
     return min(b.size[0], b.size[1]) > 2 * CLIP_EPS
 
 
+def _footprint_over_1e5(b):
+    return min(b.size[0], b.size[1]) >= 1e-5
+
+
 def _turned(model, rng, turn):
     """The model with every box turned about its center by `turn(rng)` degrees."""
     return CabinetModel(tuple(
@@ -478,12 +482,21 @@ class TestProjectionOracle:
     @settings(max_examples=500, deadline=None)
     def test_equals_twelve_edge_projection_bit_for_bit(self, b):
         for view in VIEW_KINDS:
-            assert _segment_bits(project_box(b, view)) == _segment_bits(project_box_oracle(b, view))
+            merged = merge_segments(project_box(b, view))
+            assert _segment_bits(merged) == _segment_bits(project_box_oracle(b, view))
 
-    @given(st.integers(0, 10_000), st.sampled_from(sorted(TURNS)))
-    @settings(max_examples=40, deadline=None)
-    def test_render_views_matches_twelve_edge_projection(self, catalog, seed, turn):
-        model = _turned(generate(SynthSpec(seed=seed), catalog), np.random.default_rng(seed), TURNS[turn])
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(sorted(TURNS)),
+        st.none() | st.lists(bounded_boxes().filter(_footprint_over_1e5), min_size=1, max_size=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_render_views_matches_twelve_edge_projection(self, catalog, seed, turn, boxes):
+        # The reference merges each box and then each view.
+        if boxes is None:
+            model = _turned(generate(SynthSpec(seed=seed), catalog), np.random.default_rng(seed), TURNS[turn])
+        else:
+            model = _model(catalog, boxes)
         views = render_views(model, list(VIEW_KINDS))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "project_box", project_box_oracle)
@@ -492,7 +505,7 @@ class TestProjectionOracle:
         for view, ref in zip(views, reference):
             assert _segment_bits(view.segments) == _segment_bits(ref.segments)
 
-    def test_sub_nanometre_tilted_footprint_keeps_its_horizontals(self):
+    def test_sub_nanometre_tilted_footprint_keeps_its_horizontals(self, catalog):
         # Both footprint sides are under sqrt(2) * CLIP_EPS, so at 45 degrees
         # no single edge projects longer than CLIP_EPS and the 12-edge
         # wireframe loses its horizontals. The footprint's span across the
@@ -501,7 +514,17 @@ class TestProjectionOracle:
         z0, z1 = b.z_interval
         xs = [x for x, _ in box_footprint(b)]
         assert max(xs) - min(xs) > CLIP_EPS
-        front = project_box(b, "front")
+        front = merge_segments(project_box(b, "front"))
         horizontals = [((min(xs), z), (max(xs), z)) for z in (z0, z1)]
         assert sorted(front) == sorted(project_box_oracle(b, "front") + horizontals)
-        assert project_box(b, "top") == project_box_oracle(b, "top")
+        assert merge_segments(project_box(b, "top")) == project_box_oracle(b, "top")
+        # Under about 1e-6 mm on both footprint sides, one merge per view is
+        # the rule: a one-box drawing is the box's wireframe merged once.
+        for view in render_views(_model(catalog, [b]), list(VIEW_KINDS)):
+            assert _segment_bits(view.segments) == _segment_bits(merge_segments(project_box(b, view.kind)))
+        # Here a second merge would join the top view's two segments into one.
+        tiny = box((226, 125, 288), (2.5960572857776133e-07, 2.4243403838025063e-07, 1776), 45)
+        footprint = box_footprint(tiny)
+        top = render_views(_model(catalog, [tiny]), ["top"])[0]
+        assert top.segments == merge_segments(zip(footprint, footprint[1:] + footprint[:1]))
+        assert len(top.segments) == 2

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from cabinetkit import CabinetModel, OrientedBox, make_instance
+from cabinetkit import CabinetModel, OrientedBox, emit_python, make_instance, parse_python
 from cabinetkit.metrics import (
     DEFAULT_IOU_THRESHOLD,
     _has_twin_lines,
@@ -263,6 +263,19 @@ class TestParamMatch:
     def test_int_float_canonicalization(self, catalog):
         schema = catalog.require("M-DRAW")
         assert param_match({"DH": 160}, {"DH": 160.0}, schema)
+
+    def test_int_beyond_float_range_is_scored(self, catalog, simple_model):
+        huge = int("9" * 400)
+        schema = catalog.require("M-BB01")
+        assert not param_match({"NKA": huge}, {"NKA": 560.0}, schema)
+        assert param_match({"NKA": huge}, {"NKA": huge}, schema)
+        # Lenient parsing keeps such a value with a param-value warning.
+        text = emit_python(simple_model, catalog).replace("NKA=560", f"NKA={huge}")
+        pred = parse_python(text, catalog).model
+        assert pred.instances[0].params["NKA"] == huge
+        report = evaluate_sample(pred, simple_model, catalog)
+        assert (report.tp, report.retrieval_correct) == (3, 3)
+        assert (report.param_correct, report.param_total) == (2, 3)
 
 
 class TestEvaluateCorpus:
