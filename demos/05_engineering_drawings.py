@@ -11,7 +11,6 @@ from pathlib import Path
 
 from cabinetkit import (
     DimensionSet,
-    DrawingStyle,
     NoiseSpec,
     SynthSpec,
     annotate,
@@ -50,7 +49,7 @@ print(f"sheet scale: {sheet.scale:.4f} px/mm")
 #    geometry group bytes are identical either way.
 (out_dir / "cabinet_full.svg").write_text(to_svg(sheet))
 (out_dir / "cabinet_geometry_only.svg").write_text(
-    to_svg(sheet, DrawingStyle(layers=frozenset({"geometry"})))
+    to_svg(sheet, layers=frozenset({"geometry"}))
 )
 
 # 5. Noise injection degrades the geometry layer only, deterministically

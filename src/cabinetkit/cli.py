@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import codec, corpus, drawing, metrics, program, synth
@@ -105,18 +104,8 @@ def cmd_render(args) -> int:
         )
         annotated = drawing.inject_noise(annotated, noise, args.noise_seed)
     sheet = drawing.layout_sheet(annotated, canvas=args.canvas)
-    if args.style is not None:
-        style = drawing.DrawingStyle.from_config(Path(args.style).read_text(encoding="utf-8"))
-    else:
-        style = drawing.DrawingStyle()
-    if args.layers is not None:
-        layers = frozenset(l.strip() for l in args.layers.split(",") if l.strip())
-        unknown = layers - {"geometry", "annotation"}
-        if unknown:
-            print(f"unknown layers: {', '.join(sorted(unknown))}", file=sys.stderr)
-            return EXIT_USAGE
-        style = replace(style, layers=layers)
-    Path(args.output).write_text(drawing.to_svg(sheet, style), encoding="utf-8")
+    layers = frozenset(l.strip() for l in args.layers.split(",") if l.strip())
+    Path(args.output).write_text(drawing.to_svg(sheet, layers), encoding="utf-8")
     return EXIT_OK
 
 
@@ -256,14 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--views", default="front,top,side", help="comma-separated view kinds")
-    p.add_argument("--layers", default=None, help="comma-separated: geometry,annotation")
+    p.add_argument("--layers", default="geometry,annotation", help="SVG groups to write")
     p.add_argument("--canvas", type=int, default=drawing.DEFAULT_CANVAS_PX)
     p.add_argument("--section-cut", type=float, default=None, help="section plane y (mm)")
     p.add_argument("--noise-seed", type=int, default=None)
     p.add_argument("--p-drop", type=float, default=0.0)
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--p-spurious", type=float, default=0.0)
-    p.add_argument("--style", help="drawing style config file")
     p.add_argument("--format", choices=("python", "yaml", "auto"), default="auto")
     add_catalog(p)
     p.set_defaults(func=cmd_render)

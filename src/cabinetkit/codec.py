@@ -49,8 +49,6 @@ def quantize_length(value_mm: float) -> int:
     """Map a length to its 3 mm bin index; values outside [0, 4500] clamp."""
     if not math.isfinite(value_mm):
         raise CodecError(f"cannot quantize non-finite length {value_mm!r}")
-    if value_mm < 0.0 or value_mm > LENGTH_RANGE_MM:
-        logger.warning("length %.3f mm outside [0, %.0f]; clamping", value_mm, LENGTH_RANGE_MM)
     index = int(math.floor(value_mm / LENGTH_RESOLUTION_MM))
     return min(max(index, 0), LENGTH_BINS - 1)
 
@@ -125,8 +123,11 @@ class CommandSequence:
 def encode(model: CabinetModel, catalog: PrimitiveCatalog) -> CommandSequence:
     """One command per instance, in source order; model-specific params drop."""
     commands = []
+    clamped = 0
     for instance in model.instances:
         slot = catalog.slot_of(instance.model_id)  # KeyError on unknown ID
+        lengths = instance.box.position + instance.box.size
+        clamped += sum(not 0.0 <= c <= LENGTH_RANGE_MM for c in lengths)
         commands.append(
             Command(
                 model_slot=slot,
@@ -135,6 +136,8 @@ def encode(model: CabinetModel, catalog: PrimitiveCatalog) -> CommandSequence:
                 rot_bin=quantize_rotation(instance.box.rotation_deg),
             )
         )
+    if clamped:
+        logger.warning("%d length(s) outside [0, %.0f] mm clamped", clamped, LENGTH_RANGE_MM)
     return CommandSequence(tuple(commands))
 
 

@@ -46,8 +46,16 @@ ROLE_DOOR = "door"
 SYMBOL_SHELF_CIRCLE = "adjustable_shelf_circle"
 SYMBOL_DOOR_TRIANGLE = "door_opening_triangle"
 
-_GEOMETRY_LAYER = "geometry"
-_ANNOTATION_LAYER = "annotation"
+LAYERS = frozenset({"geometry", "annotation"})
+
+# The one drawing style; sizes in px.
+GEOMETRY_STROKE_PX = 1.0
+ANNOTATION_STROKE_PX = 0.75
+ARROW_PX = 6.0
+FONT_PX = 10.0
+GEOMETRY_COLOR = "#000000"
+ANNOTATION_COLOR = "#333333"
+SYMBOL_COLOR = "#d40000"
 
 
 @dataclass(frozen=True)
@@ -407,76 +415,42 @@ def _layout_grid(views, canvas) -> Sheet:
     return Sheet(canvas_px=canvas, scale=scale, views=tuple(placed))
 
 
-@dataclass(frozen=True)
-class DrawingStyle:
-    """Visual constants; every value can be overridden from a config file."""
-
-    layers: frozenset[str] = frozenset({_GEOMETRY_LAYER, _ANNOTATION_LAYER})
-    geometry_stroke_px: float = 1.0
-    annotation_stroke_px: float = 0.75
-    arrow_px: float = 6.0
-    font_px: float = 10.0
-    geometry_color: str = "#000000"
-    annotation_color: str = "#333333"
-    symbol_color: str = "#d40000"  # red circle / red triangle convention
-
-    @classmethod
-    def from_config(cls, text: str) -> "DrawingStyle":
-        """Load overrides from a restricted-YAML style config."""
-        from . import ryaml
-
-        data = ryaml.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("style config must be a mapping")
-        kwargs = {}
-        if "layers" in data:
-            layers = data.pop("layers")
-            if not isinstance(layers, list):
-                raise ValueError("'layers' must be a sequence")
-            kwargs["layers"] = frozenset(str(l) for l in layers)
-        for key, value in data.items():
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"unknown style option {key!r}")
-            field_type = type(getattr(cls(), key))
-            kwargs[key] = field_type(value)
-        return cls(**kwargs)
-
-
 def _fmt(value: float) -> str:
     text = f"{value:.2f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
 
 
-def to_svg(sheet: Sheet, style: DrawingStyle | None = None) -> str:
-    """Deterministic SVG with separate named geometry/annotation groups."""
-    style = style or DrawingStyle()
+def to_svg(sheet: Sheet, layers: frozenset[str] = LAYERS) -> str:
+    """Deterministic SVG holding the named groups in `layers`, a subset of LAYERS."""
+    if not LAYERS.issuperset(layers):
+        raise ValueError(f"unknown layers: {', '.join(sorted(set(layers) - LAYERS))}")
     c = sheet.canvas_px
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{c}" height="{c}" '
         f'viewBox="0 0 {c} {c}">',
     ]
-    if _GEOMETRY_LAYER in style.layers:
+    if "geometry" in layers:
         lines.append(
-            f'<g id="geometry" fill="none" stroke="{style.geometry_color}" '
-            f'stroke-width="{_fmt(style.geometry_stroke_px)}">'
+            f'<g id="geometry" fill="none" stroke="{GEOMETRY_COLOR}" '
+            f'stroke-width="{_fmt(GEOMETRY_STROKE_PX)}">'
         )
         for placed in sheet.views:
             for p, q in placed.view.segments:
                 lines.append(_svg_line(sheet.to_px(placed, p), sheet.to_px(placed, q)))
         lines.append("</g>")
-    if _ANNOTATION_LAYER in style.layers:
+    if "annotation" in layers:
         lines.append(
-            f'<g id="annotation" fill="none" stroke="{style.annotation_color}" '
-            f'stroke-width="{_fmt(style.annotation_stroke_px)}" '
-            f'font-size="{_fmt(style.font_px)}">'
+            f'<g id="annotation" fill="none" stroke="{ANNOTATION_COLOR}" '
+            f'stroke-width="{_fmt(ANNOTATION_STROKE_PX)}" '
+            f'font-size="{_fmt(FONT_PX)}">'
         )
         for placed in sheet.views:
             for ann in placed.view.annotations:
                 if isinstance(ann, DimensionSet):
-                    lines.extend(_svg_dimension(sheet, placed, ann, style))
+                    lines.extend(_svg_dimension(sheet, placed, ann))
                 else:
-                    lines.extend(_svg_symbol(sheet, placed, ann, style))
+                    lines.extend(_svg_symbol(sheet, placed, ann))
         lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -489,7 +463,7 @@ def _svg_line(a: Point2, b: Point2) -> str:
     )
 
 
-def _svg_dimension(sheet: Sheet, placed: PlacedView, dim: DimensionSet, style: DrawingStyle):
+def _svg_dimension(sheet: Sheet, placed: PlacedView, dim: DimensionSet):
     line_a, line_b = dim.line_points()
     start_px = sheet.to_px(placed, dim.start)
     end_px = sheet.to_px(placed, dim.end)
@@ -499,28 +473,28 @@ def _svg_dimension(sheet: Sheet, placed: PlacedView, dim: DimensionSet, style: D
         _svg_line(start_px, a_px),
         _svg_line(end_px, b_px),
         _svg_line(a_px, b_px),
-        _svg_arrow(a_px, b_px, style.arrow_px),
-        _svg_arrow(b_px, a_px, style.arrow_px),
+        _svg_arrow(a_px, b_px),
+        _svg_arrow(b_px, a_px),
     ]
     mid_x = (a_px[0] + b_px[0]) / 2.0
     mid_y = (a_px[1] + b_px[1]) / 2.0
     # Nudge the label off the dimension line, against the px-space normal.
     ux, uy = _unit(a_px, b_px)
-    tx = mid_x + uy * (style.font_px * 0.45)
-    ty = mid_y - ux * (style.font_px * 0.45) if ux != 0 else mid_y - style.font_px * 0.35
+    tx = mid_x + uy * (FONT_PX * 0.45)
+    ty = mid_y - ux * (FONT_PX * 0.45) if ux != 0 else mid_y - FONT_PX * 0.35
     out.append(
         f'<text x="{_fmt(tx)}" y="{_fmt(ty)}" text-anchor="middle" '
-        f'stroke="none" fill="{style.annotation_color}">{dim.label}</text>'
+        f'stroke="none" fill="{ANNOTATION_COLOR}">{dim.label}</text>'
     )
     return out
 
 
-def _svg_arrow(tip: Point2, other: Point2, size_px: float) -> str:
+def _svg_arrow(tip: Point2, other: Point2) -> str:
     """Filled arrowhead at `tip`, pointing away from `other`."""
     ux, uy = _unit(other, tip)
-    bx = tip[0] - ux * size_px
-    by = tip[1] - uy * size_px
-    half = size_px * 0.3
+    bx = tip[0] - ux * ARROW_PX
+    by = tip[1] - uy * ARROW_PX
+    half = ARROW_PX * 0.3
     p1 = (bx - uy * half, by + ux * half)
     p2 = (bx + uy * half, by - ux * half)
     return (
@@ -529,18 +503,18 @@ def _svg_arrow(tip: Point2, other: Point2, size_px: float) -> str:
     )
 
 
-def _svg_symbol(sheet: Sheet, placed: PlacedView, mark: SymbolMark, style: DrawingStyle):
+def _svg_symbol(sheet: Sheet, placed: PlacedView, mark: SymbolMark):
     cx, cy = sheet.to_px(placed, mark.anchor)
     if mark.kind == SYMBOL_SHELF_CIRCLE:
         radius = sheet.scale * mark.width / 2.0
         return [
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
-            f'stroke="{style.symbol_color}"/>'
+            f'stroke="{SYMBOL_COLOR}"/>'
         ]
     # Door opening triangle: hinge edge on the left, apex at mid right.
     w = sheet.scale * mark.width / 2.0
     h = sheet.scale * mark.height / 2.0
     return [
         f'<path d="M {_fmt(cx - w)} {_fmt(cy - h)} L {_fmt(cx - w)} {_fmt(cy + h)} '
-        f'L {_fmt(cx + w)} {_fmt(cy)} Z" stroke="{style.symbol_color}"/>'
+        f'L {_fmt(cx + w)} {_fmt(cy)} Z" stroke="{SYMBOL_COLOR}"/>'
     ]

@@ -20,9 +20,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .program import CabinetModel
 
-UP_AXIS = "+z"
-FRONT_DIRECTION = "-y"
-
 #: Absolute tolerance for clipping predicates and for dropping and joining
 #: drawn segments, in millimeters.
 CLIP_EPS = 1e-9
@@ -276,11 +273,12 @@ def _clip_iou(a: OrientedBox, foot_a: list[Point2], b: OrientedBox, foot_b: list
     if inter_area <= 0:
         return 0.0
     # Volumes go through the same footprint areas and z intervals as the
-    # intersection, so that identical boxes score exactly 1.0.
+    # intersection, so that identical boxes score exactly 1.0. Capped by both
+    # volumes, which rounding can leave below it, the score stays in [0, 1].
     vol_a = polygon_area(foot_a) * (za1 - za0)
     vol_b = polygon_area(foot_b) * (zb1 - zb0)
-    inter = inter_area * overlap_z
-    return inter / (vol_a + vol_b - inter)
+    inter = min(inter_area * overlap_z, vol_a, vol_b)
+    return inter / (vol_a + vol_b - inter) if inter > 0 else 0.0
 
 
 def iou3d(a: OrientedBox, b: OrientedBox) -> float:
@@ -338,8 +336,10 @@ def merge_segments(segments: Iterable[Segment]) -> list[Segment]:
     """Merge collinear segments that overlap or touch (within CLIP_EPS).
 
     Output endpoints are taken verbatim from the inputs (never recomputed),
-    which makes the merge idempotent. The result is sorted deterministically
-    by carrier line and position along it.
+    which makes the merge idempotent for segments longer than about 1e-6 mm.
+    A carrier line is keyed by direction and offset rounded to 6 decimals, so
+    a merged tilted segment shorter than that can get a different key. The
+    result is sorted deterministically by carrier line and position along it.
     """
     groups: dict[tuple, list[tuple[float, float, Point2, Point2]]] = {}
     for p, q in segments:

@@ -92,15 +92,17 @@ class ParseResult:
 
 
 def _quote_py(text: str) -> str:
+    if "\n" in text:
+        raise ValueError(f"cannot emit a line break in a Python string: {text!r}")
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _to_float(value) -> float:
-    """Lossy float conversion that maps out-of-range ints to inf (not a crash)."""
+    """Lossy float conversion that maps out-of-range ints to signed inf (not a crash)."""
     try:
         return float(value)
     except OverflowError:
-        return math.inf
+        return math.inf if value > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +485,10 @@ def _finish_instance(
 
 
 def emit_python(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
-    """Deterministic Python-style emission; two statements per primitive."""
+    """Deterministic Python-style emission; two statements per primitive.
+
+    A string holding a line break, which the syntax cannot write, raises ValueError.
+    """
     lines: list[str] = []
     for k, instance in enumerate(model.instances):
         px, py, pz = (ryaml.format_box_number(c) for c in instance.box.position)

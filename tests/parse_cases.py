@@ -5,9 +5,9 @@ parser returned for each:
 
 * `parse_python`: every diagnostic (severity, code, message, line, column,
   offset, length) and the parsed model, if any;
-* `ryaml.parse`, the reader behind `parse_yaml`, `load_catalog` and
-  `DrawingStyle.from_config`: every node's type, value and span plus every
-  key span, or the error message and its span;
+* `ryaml.parse`, the reader behind `parse_yaml` and `load_catalog`: every
+  node's type, value and span plus every key span, or the error message
+  and its span;
 * `parse_yaml`, in lenient and strict mode: every diagnostic and the
   model's `repr` (so ints, floats and -0.0 stay apart), or the exception
   it raised.

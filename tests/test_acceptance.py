@@ -204,9 +204,7 @@ def test_criterion_08_drawing_layer_separation(catalog):
             )
             sheet = ck.layout_sheet(views)
             full = ck.to_svg(sheet)
-            geometry_only = ck.to_svg(
-                sheet, ck.DrawingStyle(layers=frozenset({"geometry"}))
-            )
+            geometry_only = ck.to_svg(sheet, layers=frozenset({"geometry"}))
             assert group_re.search(full).group(0) == group_re.search(geometry_only).group(0)
             for view in views:
                 for ann in view.annotations:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cabinetkit import SynthSpec, emit_python, generate, save_catalog
+from cabinetkit import SynthSpec, emit_python, emit_yaml, generate, save_catalog
 from cabinetkit.cli import main
 
 
@@ -101,6 +101,18 @@ class TestConvert:
         assert lines[0] == "<s>" and lines[-1] == "</s>"
         assert all(len(l.split()) == 8 for l in lines[1:-1])
 
+    def test_line_break_to_python_exits_two(self, tmp_path, catalog, capsys):
+        # A YAML string may hold an escaped line break; the Python syntax cannot.
+        model = generate(SynthSpec(seed=5), catalog)
+        source = tmp_path / "model.yaml"
+        text = emit_yaml(model, catalog).replace("id: M-BB01", 'id: "M-BB01\\nX"', 1)
+        source.write_text(text, encoding="utf-8")
+        out = tmp_path / "model.py"
+        assert run("convert", source, out, "--to", "python") == 2
+        err = capsys.readouterr().err
+        assert "error: cannot emit a line break in a Python string: 'M-BB01\\nX'" in err
+        assert not out.exists()
+
     def test_malformed_input_exits_one(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("this is not a shape program\n", encoding="utf-8")
@@ -141,8 +153,10 @@ class TestRender:
         assert run("render", model_file, out, "--views", "front") == 0
         assert out.exists()
 
-    def test_unknown_layer_exits_two(self, model_file, tmp_path):
+    def test_unknown_layer_exits_two(self, model_file, tmp_path, capsys):
         assert run("render", model_file, tmp_path / "x.svg", "--layers", "wires") == 2
+        assert capsys.readouterr().err == "error: unknown layers: wires\n"
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestSynthAndStats:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,22 @@ class TestEncodeDecode:
     def test_empty_sequence_rejected(self, catalog):
         with pytest.raises(CodecError):
             decode(CommandSequence(()), catalog)
+
+    def test_one_warning_counts_clamped_lengths(self, catalog, caplog):
+        inside = OrientedBox((100, 100, 100), (50, 50, 50))
+        outside = OrientedBox((-100, -100, -100), (5000, 5000, 5000))
+        model = CabinetModel(
+            tuple(make_instance(catalog, "M-SIDE", b) for b in (inside, outside, inside))
+        )
+        with caplog.at_level(logging.WARNING, logger="cabinetkit.codec"):
+            encode(model, catalog)
+        assert [r.getMessage() for r in caplog.records] == [
+            "6 length(s) outside [0, 4500] mm clamped"
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cabinetkit.codec"):
+            encode(CabinetModel((make_instance(catalog, "M-SIDE", inside),)), catalog)
+        assert caplog.records == []
 
 
 class TestWireFormat:

@@ -15,7 +15,6 @@ from cabinetkit.drawing import (
     DEFAULT_CANVAS_PX,
     MARGIN_PX,
     DimensionSet,
-    DrawingStyle,
     NoiseSpec,
     SymbolMark,
     annotate,
@@ -262,10 +261,15 @@ class TestSvg:
     def test_layer_toggles(self, catalog, simple_model):
         views = annotate(render_views(simple_model, ["front"]), simple_model, catalog)
         sheet = layout_sheet(views)
-        geo_only = to_svg(sheet, DrawingStyle(layers=frozenset({"geometry"})))
+        geo_only = to_svg(sheet, layers=frozenset({"geometry"}))
         assert '<g id="annotation"' not in geo_only
-        ann_only = to_svg(sheet, DrawingStyle(layers=frozenset({"annotation"})))
+        ann_only = to_svg(sheet, layers=frozenset({"annotation"}))
         assert '<g id="geometry"' not in ann_only
+
+    def test_unknown_layer_rejected(self, catalog, simple_model):
+        views = annotate(render_views(simple_model, ["front"]), simple_model, catalog)
+        with pytest.raises(ValueError, match="unknown layers: wires"):
+            to_svg(layout_sheet(views), layers=frozenset({"geometry", "wires"}))
 
     def test_layer_separation_equality(self, catalog):
         for seed in range(8):
@@ -275,7 +279,7 @@ class TestSvg:
             )
             sheet = layout_sheet(views)
             full = to_svg(sheet)
-            geo_only = to_svg(sheet, DrawingStyle(layers=frozenset({"geometry"})))
+            geo_only = to_svg(sheet, layers=frozenset({"geometry"}))
             assert geometry_group(full) == geometry_group(geo_only)
 
     def test_symbols_are_red(self, catalog, simple_model):
@@ -294,14 +298,3 @@ class TestSvg:
             return to_svg(layout_sheet(noisy))
 
         assert run() == run()
-
-
-def test_style_config_overrides():
-    style = DrawingStyle.from_config(
-        "layers: [geometry]\ngeometry_stroke_px: 2\nsymbol_color: \"#00ff00\"\n"
-    )
-    assert style.layers == frozenset({"geometry"})
-    assert style.geometry_stroke_px == 2.0
-    assert style.symbol_color == "#00ff00"
-    with pytest.raises(ValueError):
-        DrawingStyle.from_config("unknown_key: 1\n")

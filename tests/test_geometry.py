@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cabinetkit import (
@@ -179,6 +179,35 @@ class TestIoU:
             current = iou3d(outer, inner)
             assert current <= previous + 1e-12
             previous = current
+
+    @given(
+        boxes(),
+        st.sampled_from([0.0, 90.0, 180.0, 270.0]) | rotations,
+        st.floats(1e-13, 1e-3) | st.floats(-1e-3, -1e-13),
+    )
+    @example(
+        box(
+            (525.767879203114, 659.6447523886255, 1643.991867620766),
+            (72.52089977352583, 99.10001633632679, 973.5030316222037),
+        ),
+        90.0,
+        1.7246616946463914e-12,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_near_identical_pairs_stay_in_unit_interval(self, b, rotation, turn):
+        # The clipped area can come out a few ulps above a footprint's own.
+        plain = OrientedBox(b.position, b.size, rotation)
+        turned = OrientedBox(b.position, b.size, rotation + turn)
+        matrix = pairwise_iou([plain, turned], [plain, turned])
+        assert ((matrix >= 0.0) & (matrix <= 1.0)).all()
+        assert matrix[0, 0] == matrix[1, 1] == 1.0
+
+    def test_huge_tilted_footprint_scores_zero_both_ways(self):
+        # The 1e40 mm footprint's area rounds to 0, so the union used to be 0.
+        door = box((0, 0, 0), (2155, 1e40, 2131), 296)
+        side = box((100, 50, 0), (600, 18, 1000))
+        assert iou3d(door, side) == 0.0
+        assert iou3d(side, door) == 0.0
 
     def test_result_in_unit_interval(self):
         rng = np.random.default_rng(123)

@@ -375,6 +375,17 @@ class TestRoundTrip:
         model = CabinetModel((inst, inst))
         assert parse_python(emit_python(model, catalog), catalog).model == model
 
+    @pytest.mark.parametrize("model_id, text", [("M-X\n", ""), ("M-X", "a\nb")])
+    def test_python_refuses_line_breaks(self, model_id, text, catalog):
+        inst = PrimitiveInstance(
+            model_id=model_id,
+            box=OrientedBox((300, 200, 100), (600, 400, 200)),
+            params={"TXT": text},
+        )
+        value = model_id if "\n" in model_id else text
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            emit_python(CabinetModel((inst,)), catalog)
+
     def test_fractional_and_rotated_values(self, catalog):
         inst = make_instance(
             catalog,
@@ -620,6 +631,14 @@ class TestValidate:
         diags = validate(CabinetModel((inst,)), catalog)
         closure = [d for d in diags if d.code == "width-closure"]
         assert closure and closure[0].severity == "warning"
+
+    def test_negative_int_beyond_float_range_keeps_its_sign(self, catalog):
+        text = (
+            "b0 = Box(position=(300, 300, 300), size=(600, 600, 600), rotation=0)\n"
+            'm0 = Model(id="M-BB01", box=b0, N=2, NKA=298, NKB=-' + "9" * 400 + ", DBXX=1)\n"
+        )
+        diags = validate(parse_python(text, catalog).model, catalog)
+        assert [(d.code, d.severity) for d in diags] == [("param-value", "error")]
 
     def test_empty_model_rejected_at_construction(self):
         with pytest.raises(ValueError):
