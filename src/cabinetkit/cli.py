@@ -51,10 +51,13 @@ def cmd_validate(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     path = Path(args.path)
     fmt = _detect_format(path, args.format)
-    result = corpus.parse_file(path, fmt, catalog, args.strict)
-    diags = list(result.diagnostics)
-    if result.model is not None:
-        diags.extend(program.validate(result.model, catalog, filters=args.filters))
+    result = corpus.parse_file(path, fmt, catalog)
+    # A parsed model's findings come from `program.validate`, which repeats
+    # the parser's catalog checks with their real severity and instance.
+    if result.model is None:
+        diags = result.diagnostics
+    else:
+        diags = program.validate(result.model, catalog, filters=args.filters)
     _print_diagnostics(diags, prefix=f"{path}:")
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
@@ -63,7 +66,7 @@ def cmd_convert(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     in_path = Path(args.input)
     fmt = _detect_format(in_path, args.format)
-    result = corpus.parse_file(in_path, fmt, catalog, strict=False)
+    result = corpus.parse_file(in_path, fmt, catalog)
     _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
     if result.model is None:
         return EXIT_DIAGNOSTICS
@@ -87,7 +90,7 @@ def cmd_render(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     in_path = Path(args.input)
     fmt = _detect_format(in_path, args.format)
-    result = corpus.parse_file(in_path, fmt, catalog, strict=False)
+    result = corpus.parse_file(in_path, fmt, catalog)
     _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
     if result.model is None:
         return EXIT_DIAGNOSTICS
@@ -138,12 +141,7 @@ def cmd_eval(args) -> int:
             yield sample_id, pred_result.model, gt_result.model
 
     try:
-        report = metrics.evaluate_corpus(
-            load_pairs(),
-            catalog,
-            args.iou,
-            retrieval_over_all_pairs=args.retrieval_over_all_pairs,
-        )
+        report = metrics.evaluate_corpus(load_pairs(), catalog, args.iou)
     except _GroundTruthUnparsed:
         return EXIT_DIAGNOSTICS
     if args.out is not None:
@@ -229,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     add_catalog(p)
     p.add_argument("--filters", action="store_true", help="apply the dataset filters")
-    p.add_argument("--strict", action="store_true", help="treat schema issues as errors")
     p.add_argument("--format", choices=("python", "yaml", "auto"), default="auto")
     p.set_defaults(func=cmd_validate)
 
@@ -261,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="ground-truth corpus dir or manifest")
     p.add_argument("--iou", type=float, default=metrics.DEFAULT_IOU_THRESHOLD)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument(
-        "--retrieval-over-all-pairs",
-        action="store_true",
-        help="retrieval denominator = all matched pairs (IoU > 0) instead of TP pairs",
-    )
     add_catalog(p)
     p.set_defaults(func=cmd_eval)
 

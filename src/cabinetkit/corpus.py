@@ -100,9 +100,7 @@ def read_manifest(path: str | Path) -> tuple[Path, list[CorpusEntry]]:
     return manifest_path.parent, entries
 
 
-def parse_file(
-    path: str | Path, fmt: str, catalog: PrimitiveCatalog, strict: bool = False
-) -> ParseResult:
+def parse_file(path: str | Path, fmt: str, catalog: PrimitiveCatalog) -> ParseResult:
     """Parse a shape-program file in `fmt` ("python" or "yaml").
 
     The parser gets the raw bytes, so a file that is not valid UTF-8 yields
@@ -110,7 +108,7 @@ def parse_file(
     """
     data = Path(path).read_bytes()
     parse = program.parse_python if fmt == "python" else program.parse_yaml
-    return parse(data, catalog, strict)
+    return parse(data, catalog)
 
 
 def load_entry(base: Path, entry: CorpusEntry, catalog: PrimitiveCatalog) -> ParseResult:

@@ -499,7 +499,7 @@ def _svg_arrow(tip: Point2, other: Point2) -> str:
     p2 = (bx + uy * half, by - ux * half)
     return (
         f'<path d="M {_fmt(tip[0])} {_fmt(tip[1])} L {_fmt(p1[0])} {_fmt(p1[1])} '
-        f'L {_fmt(p2[0])} {_fmt(p2[1])} Z" fill="currentColor" stroke="none"/>'
+        f'L {_fmt(p2[0])} {_fmt(p2[1])} Z" fill="{ANNOTATION_COLOR}" stroke="none"/>'
     )
 
 

@@ -191,7 +191,7 @@ def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox])
     scores the exact AABB product: the overlaps of the two boxes' bounds on
     each axis multiplied, over volumes taken from the same bounds, so that
     identical boxes score exactly 1.0. Any other pair scores its footprint
-    intersection area times its z overlap (`clip_iou`); the clipping runs
+    intersection area times its z overlap (`_clip_iou`); the clipping runs
     only for pairs that overlap in z and whose xy bounds are not apart by
     more than the clipping tolerance can bridge. Pairs that only touch
     (zero-volume intersection) score 0, exactly so when both boxes are at
@@ -252,15 +252,6 @@ def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np
         lo[i, :2] = min(xs), min(ys)
         hi[i, :2] = max(xs), max(ys)
     return lo, hi, right
-
-
-def clip_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """IoU as footprint clipping times z overlap, with no prefilter.
-
-    This is the route `pairwise_iou` takes for pairs with a box that is not
-    at a right angle; it is kept whole so that route can be checked against it.
-    """
-    return _clip_iou(a, box_footprint(a), b, box_footprint(b))
 
 
 def _clip_iou(a: OrientedBox, foot_a: list[Point2], b: OrientedBox, foot_b: list[Point2]) -> float:

@@ -235,15 +235,12 @@ def evaluate_sample(
     catalog: PrimitiveCatalog,
     iou_thresh: float = DEFAULT_IOU_THRESHOLD,
     *,
-    retrieval_over_all_pairs: bool = False,
     sample_id: str = "",
 ) -> SampleReport:
     """Evaluate one prediction; `pred=None` stands for an empty prediction.
 
     A matched pair is a true positive only when IoU > iou_thresh (strict).
-    By default retrieval accuracy is computed over true-positive pairs;
-    `retrieval_over_all_pairs` switches the denominator to every matched
-    pair with an IoU above 0, whether or not it clears the threshold.
+    Retrieval accuracy is computed over the true-positive pairs.
     """
     report = SampleReport(sample_id=sample_id, fn=len(gt))
     if pred is None:
@@ -261,9 +258,8 @@ def evaluate_sample(
             2 * report.precision * report.recall / (report.precision + report.recall)
         )
 
-    retrieval_pairs = list(matching.pairs) if retrieval_over_all_pairs else tp_pairs
-    report.retrieval_total = len(retrieval_pairs)
-    for i, j, _ in retrieval_pairs:
+    report.retrieval_total = len(tp_pairs)
+    for i, j, _ in tp_pairs:
         pred_inst = pred.instances[i]
         gt_inst = gt.instances[j]
         if pred_inst.model_id != gt_inst.model_id:
@@ -348,8 +344,6 @@ def evaluate_corpus(
     pairs: Iterable[tuple[str, CabinetModel | None, CabinetModel]],
     catalog: PrimitiveCatalog,
     iou_thresh: float = DEFAULT_IOU_THRESHOLD,
-    *,
-    retrieval_over_all_pairs: bool = False,
 ) -> CorpusReport:
     """Evaluate (sample_id, pred, gt) triples; pred=None counts a parse failure.
 
@@ -358,14 +352,7 @@ def evaluate_corpus(
     """
     report = CorpusReport(iou_threshold=iou_thresh)
     for sample_id, pred, gt in pairs:
-        sample = evaluate_sample(
-            pred,
-            gt,
-            catalog,
-            iou_thresh,
-            retrieval_over_all_pairs=retrieval_over_all_pairs,
-            sample_id=sample_id,
-        )
+        sample = evaluate_sample(pred, gt, catalog, iou_thresh, sample_id=sample_id)
         if pred is None:
             sample.parse_failed = True
             report.parse_failures += 1

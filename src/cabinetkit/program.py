@@ -15,8 +15,11 @@ two syntaxes:
   ``params`` (optional).
 
 Parsing never raises on malformed input; it returns diagnostics with source
-spans. Emission is deterministic and round-trips exactly:
-``parse(emit(model)) == model`` for both syntaxes.
+spans. An unknown model ID or a parameter that breaks the catalog schema is
+a warning, and the instance is kept. Emission is deterministic and
+round-trips exactly, ``parse(emit(model)) == model``, with one exception:
+the Python syntax has no ``name``, so ``parse_python`` gives every instance
+its catalog name (or none for an unknown ID). YAML keeps the name.
 """
 
 from __future__ import annotations
@@ -292,7 +295,7 @@ def _number_value(token: _Token) -> float | int:
         raise _SyntaxError(str(exc), token) from None
 
 
-def parse_python(text: str | bytes, catalog: PrimitiveCatalog, strict: bool = False) -> ParseResult:
+def parse_python(text: str | bytes, catalog: PrimitiveCatalog) -> ParseResult:
     """Parse the Python-style syntax. Never raises on malformed input."""
     decoded, diags = _decode(text)
     if decoded is None:
@@ -307,7 +310,7 @@ def parse_python(text: str | bytes, catalog: PrimitiveCatalog, strict: bool = Fa
     instances: list[PrimitiveInstance] = []
     while not parser.at_eof():
         try:
-            instance = _parse_primitive(parser, lines, catalog, strict, diags)
+            instance = _parse_primitive(parser, lines, catalog, diags)
         except _SyntaxError as exc:
             diags.append(error("syntax", exc.message, lines.span(exc.token)))
             parser.skip_to_newline()
@@ -326,7 +329,6 @@ def _parse_primitive(
     parser: _PyParser,
     lines: _LineIndex,
     catalog: PrimitiveCatalog,
-    strict: bool,
     diags: list[Diagnostic],
 ) -> PrimitiveInstance | None:
     # Statement 1: <var> = Box(position=(...), size=(...), rotation=r)
@@ -437,51 +439,45 @@ def _parse_primitive(
     if box_ref is None:
         raise _SyntaxError("Model is missing the 'box' argument", ctor)
     return _finish_instance(
-        model_id, lambda: lines.span(id_token), box, params, raw_params, catalog, strict, diags
+        model_id, None, lambda: lines.span(id_token), box, params, raw_params, catalog, diags
     )
 
 
 def _finish_instance(
     model_id: str,
+    name: str | None,
     id_span: Callable[[], SourceSpan | None],
     box: OrientedBox,
     params: dict[str, ParamValue],
     raw_params: dict[str, str],
     catalog: PrimitiveCatalog,
-    strict: bool,
     diags: list[Diagnostic],
 ) -> PrimitiveInstance | None:
-    """Check the instance against the catalog; `id_span()` locates its findings."""
+    """Check the instance against the catalog; `id_span()` locates its findings.
+
+    An unknown model ID and every schema finding are warnings, so the
+    instance is kept. `name` is None when the entry gives none; the
+    catalog's name is used then.
+    """
     if not model_id:
         diags.append(error("empty-id", "model ID must be non-empty", id_span()))
         return None
     schema = catalog.get(model_id)
     if schema is None:
-        message = f"unknown model ID {model_id!r}"
-        if strict:
-            diags.append(error("unknown-model", message, id_span()))
-            return None
-        diags.append(warning("unknown-model", message, id_span()))
-        # Catalog drift: keep unknown parameters as their verbatim source text.
-        text_params: dict[str, ParamValue] = {
-            key: raw_params.get(key, str(value)) for key, value in params.items()
-        }
-        return PrimitiveInstance(model_id=model_id, box=box, name="", params=text_params)
-
-    checked = validate_params(schema, params)
-    kept = dict(params)
-    for diag in checked:
-        if strict:
-            diags.append(Diagnostic("error", diag.code, diag.message, id_span()))
-        else:
-            diags.append(Diagnostic("warning", diag.code, diag.message, id_span()))
-    if not strict:
-        for key in params:
-            if schema.schema_for(key) is None:
-                kept[key] = raw_params.get(key, str(params[key]))
-    if strict and any(d.severity == "error" for d in checked):
-        return None
-    return PrimitiveInstance(model_id=model_id, box=box, name=schema.name, params=kept)
+        diags.append(warning("unknown-model", f"unknown model ID {model_id!r}", id_span()))
+    else:
+        for diag in validate_params(schema, params):
+            diags.append(warning(diag.code, diag.message, id_span()))
+    # Catalog drift: parameters the catalog does not know keep their source text.
+    kept: dict[str, ParamValue] = {
+        key: value
+        if schema is not None and schema.schema_for(key) is not None
+        else raw_params.get(key, str(value))
+        for key, value in params.items()
+    }
+    if name is None:
+        name = schema.name if schema is not None else ""
+    return PrimitiveInstance(model_id=model_id, box=box, name=name, params=kept)
 
 
 def emit_python(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
@@ -510,7 +506,7 @@ def emit_python(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
 # YAML syntax.
 
 
-def parse_yaml(text: str | bytes, catalog: PrimitiveCatalog, strict: bool = False) -> ParseResult:
+def parse_yaml(text: str | bytes, catalog: PrimitiveCatalog) -> ParseResult:
     """Parse the YAML syntax (restricted subset). Never raises on bad input.
 
     Text laid out the way `emit_yaml` writes it is read entry by entry with
@@ -521,10 +517,10 @@ def parse_yaml(text: str | bytes, catalog: PrimitiveCatalog, strict: bool = Fals
     decoded, diags = _decode(text)
     if decoded is None:
         return ParseResult(None, diags)
-    model = _read_emitted_yaml(decoded, catalog, strict)
+    model = _read_emitted_yaml(decoded, catalog)
     if model is not None:
         return ParseResult(model, [])
-    return _parse_yaml_tree(decoded, catalog, strict)
+    return _parse_yaml_tree(decoded, catalog)
 
 
 # One emitted string: plain (a letter, then no `#`, quote or colon, and no
@@ -551,9 +547,7 @@ def _yaml_string(token: str) -> str:
     return token
 
 
-def _read_emitted_yaml(
-    text: str, catalog: PrimitiveCatalog, strict: bool
-) -> CabinetModel | None:
+def _read_emitted_yaml(text: str, catalog: PrimitiveCatalog) -> CabinetModel | None:
     """The model of `text` when it is laid out as `emit_yaml` writes and parses clean.
 
     Returns None when an entry strays from that layout, a literal is out
@@ -594,25 +588,19 @@ def _read_emitted_yaml(
                     return None
         # The verbatim text of a parameter is kept only for unknown models
         # and parameters, which always yield a finding, so none is passed.
+        name = None if name is None else _yaml_string(name)
         instance = _finish_instance(
-            _yaml_string(model_id), lambda: None, box, params, {}, catalog, strict, diags
+            _yaml_string(model_id), name, lambda: None, box, params, {}, catalog, diags
         )
         if diags:
             return None
-        if name is not None:
-            instance = PrimitiveInstance(
-                model_id=instance.model_id,
-                box=instance.box,
-                name=_yaml_string(name),
-                params=instance.params,
-            )
         instances.append(instance)
     if not instances:
         return None
     return CabinetModel(tuple(instances))
 
 
-def _parse_yaml_tree(text: str, catalog: PrimitiveCatalog, strict: bool) -> ParseResult:
+def _parse_yaml_tree(text: str, catalog: PrimitiveCatalog) -> ParseResult:
     """`parse_yaml` through the `ryaml` node tree, with diagnostics and spans."""
     diags: list[Diagnostic] = []
     try:
@@ -635,7 +623,7 @@ def _parse_yaml_tree(text: str, catalog: PrimitiveCatalog, strict: bool) -> Pars
     assert isinstance(entries, ryaml.SeqNode)
     instances: list[PrimitiveInstance] = []
     for index, entry in enumerate(entries.items):
-        instance = _instance_from_yaml(index, entry, catalog, strict, diags)
+        instance = _instance_from_yaml(index, entry, catalog, diags)
         if instance is not None:
             instances.append(instance)
 
@@ -650,7 +638,6 @@ def _instance_from_yaml(
     index: int,
     entry: ryaml.Node,
     catalog: PrimitiveCatalog,
-    strict: bool,
     diags: list[Diagnostic],
 ) -> PrimitiveInstance | None:
     if not isinstance(entry, ryaml.MapNode):
@@ -729,19 +716,10 @@ def _instance_from_yaml(
         diags.append(error("syntax", str(exc), _span_of(entry.get(exc.argument))))
         return None
 
-    instance = _finish_instance(
-        id_node.value, lambda: id_node.span, box, params, raw_params, catalog, strict, diags
+    name = None if name_node is None else name_node.value
+    return _finish_instance(
+        id_node.value, name, lambda: id_node.span, box, params, raw_params, catalog, diags
     )
-    if instance is None:
-        return None
-    if name_node is not None:
-        instance = PrimitiveInstance(
-            model_id=instance.model_id,
-            box=instance.box,
-            name=name_node.value,
-            params=instance.params,
-        )
-    return instance
 
 
 def _vector_from_yaml(

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cabinetkit import CabinetModel, OrientedBox, SynthSpec, generate, make_instance
-from cabinetkit.geometry import CLIP_EPS, box_footprint, merge_segments, view_axes
+from cabinetkit.geometry import CLIP_EPS, _clip_iou, box_footprint, merge_segments, view_axes
 
 
 def awkward_text(min_size: int = 0):
@@ -57,6 +57,15 @@ def aabb_iou_oracle(a: OrientedBox, b: OrientedBox) -> float:
     va = float(np.prod(hi_a - lo_a))
     vb = float(np.prod(hi_b - lo_b))
     return inter / (va + vb - inter)
+
+
+def clip_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """IoU as footprint clipping times z overlap, with no prefilter.
+
+    This is the route `pairwise_iou` takes for pairs with a box that is not
+    at a right angle, kept whole so that the prefilter can be checked against it.
+    """
+    return _clip_iou(a, box_footprint(a), b, box_footprint(b))
 
 
 def box_corners(box: OrientedBox) -> np.ndarray:

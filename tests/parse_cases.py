@@ -8,9 +8,8 @@ parser returned for each:
 * `ryaml.parse`, the reader behind `parse_yaml` and `load_catalog`: every
   node's type, value and span plus every key span, or the error message
   and its span;
-* `parse_yaml`, in lenient and strict mode: every diagnostic and the
-  model's `repr` (so ints, floats and -0.0 stay apart), or the exception
-  it raised.
+* `parse_yaml`: every diagnostic and the model's `repr` (so ints, floats
+  and -0.0 stay apart), or the exception it raised.
 
 The inputs are hand-written lexical edge cases plus seeded mutants of
 emitted programs (and, for YAML, of the catalog texts). The `parse_yaml`
@@ -175,22 +174,25 @@ def _mutate(text: str, rng: random.Random, alphabet: list[str] = _ALPHABET) -> s
     return text
 
 
-def case_inputs() -> list[tuple[str, bool]]:
-    """All (text, strict) inputs of the fixture, in a fixed order."""
+def case_inputs() -> list[str]:
+    """All inputs of the fixture, in a fixed order."""
     rng = random.Random(20241216)
-    cases = [(text, strict) for text in EDGE_CASES for strict in (False, True)]
+    cases = list(EDGE_CASES)
     for program in _emitted_programs(60):
-        cases.append((program, False))
+        cases.append(program)
         for _ in range(5):
-            cases.append((_mutate(program, rng), rng.random() < 0.25))
+            cases.append(_mutate(program, rng))
+            # The draw that once chose each mutant's parse mode; it stays so
+            # that every later mutant is the same text as before.
+            rng.random()
     return cases
 
 
-def outcome(text: str, strict: bool, catalog) -> dict:
+def outcome(text: str, catalog) -> dict:
     """What parse_python returns for `text`, as plain JSON values."""
     from cabinetkit import parse_python
 
-    result = parse_python(text, catalog, strict=strict)
+    result = parse_python(text, catalog)
     diagnostics = _diagnostics(result)
     model = None
     if result.model is not None:
@@ -205,7 +207,7 @@ def outcome(text: str, strict: bool, catalog) -> dict:
             ]
             for inst in result.model.instances
         ]
-    return {"text": text, "strict": strict, "diagnostics": diagnostics, "model": model}
+    return {"text": text, "diagnostics": diagnostics, "model": model}
 
 
 def _diagnostics(result) -> list[list]:
@@ -673,19 +675,15 @@ def yaml_program_inputs() -> list[str]:
 
 
 def yaml_model_outcome(text: str, catalog) -> dict:
-    """What parse_yaml returns for `text`, lenient then strict, as plain JSON values."""
+    """What parse_yaml returns for `text`, as plain JSON values."""
     from cabinetkit import parse_yaml
 
-    record: dict = {"text": text}
-    for mode, strict in (("lenient", False), ("strict", True)):
-        try:
-            result = parse_yaml(text, catalog, strict=strict)
-        except ValueError as exc:
-            record[mode] = {"raises": f"{type(exc).__name__}: {exc}"}
-            continue
-        model = None if result.model is None else repr(result.model)
-        record[mode] = {"diagnostics": _diagnostics(result), "model": model}
-    return record
+    try:
+        result = parse_yaml(text, catalog)
+    except ValueError as exc:
+        return {"text": text, "raises": f"{type(exc).__name__}: {exc}"}
+    model = None if result.model is None else repr(result.model)
+    return {"text": text, "diagnostics": _diagnostics(result), "model": model}
 
 
 def dumps(cases: list[dict]) -> str:
@@ -702,7 +700,7 @@ def main_script() -> int:
     from cabinetkit import builtin_catalog
 
     catalog = builtin_catalog()
-    cases = [outcome(text, strict, catalog) for text, strict in case_inputs()]
+    cases = [outcome(text, catalog) for text in case_inputs()]
     yaml_cases = [yaml_outcome(text) for text in yaml_case_inputs()]
     model_cases = [yaml_model_outcome(text, catalog) for text in yaml_program_inputs()]
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)

@@ -58,6 +58,29 @@ class TestExitCodes:
         errors = [line for line in capsys.readouterr().err.splitlines() if ":error: " in line]
         assert len(errors) == 1 and errors[0].endswith("[param-value]")
 
+    def test_each_catalog_finding_printed_once(self, model_file, capsys):
+        text = model_file.read_text(encoding="utf-8")
+        model_file.write_text(
+            re.sub(r"DBXX=\d+", "DBXX=9, ZZZ=1", text, count=1), encoding="utf-8"
+        )
+        assert run("validate", model_file) == 1
+        err = capsys.readouterr().err.splitlines()
+        codes = [line.rsplit("[", 1)[1] for line in err]
+        assert codes.count("param-value]") == 1 and codes.count("unknown-param]") == 1
+        assert any(":error: instance " in line and "[param-value]" in line for line in err)
+        assert any(":warning: instance " in line and "[unknown-param]" in line for line in err)
+
+    def test_parse_failure_prints_the_parse_diagnostics(self, tmp_path, capsys):
+        path = tmp_path / "broken.py"
+        path.write_text("b0 = Box(position=(1, 1, 1)\n", encoding="utf-8")
+        assert run("validate", path) == 1
+        assert capsys.readouterr().err == f"{path}:1:28: error: expected ')' [syntax]\n"
+
+    def test_strict_option_is_gone(self, model_file):
+        with pytest.raises(SystemExit) as err:
+            run("validate", model_file, "--strict")
+        assert err.value.code == 2
+
     def test_overlong_model_exits_one(self, tmp_path, catalog, capsys):
         lines = []
         for i in range(49):
@@ -324,6 +347,11 @@ class TestEval:
         assert run("eval", "--pred", pred_dir, "--gt", corpus_dir, "--out", out) == 0
         totals = json.loads(out.read_text())["totals"]
         assert totals["param_correct"] == totals["param_total"] - 1
+
+    def test_retrieval_over_all_pairs_option_is_gone(self, corpus_dir):
+        with pytest.raises(SystemExit) as err:
+            run("eval", "--pred", corpus_dir, "--gt", corpus_dir, "--retrieval-over-all-pairs")
+        assert err.value.code == 2
 
     def test_jobs_option_is_gone(self, corpus_dir):
         with pytest.raises(SystemExit) as err:

@@ -12,6 +12,7 @@ from cabinetkit import (
     make_instance,
 )
 from cabinetkit.drawing import (
+    ANNOTATION_COLOR,
     DEFAULT_CANVAS_PX,
     MARGIN_PX,
     DimensionSet,
@@ -286,6 +287,14 @@ class TestSvg:
         views = annotate(render_views(simple_model, ["front"]), simple_model, catalog)
         svg = to_svg(layout_sheet(views))
         assert svg.count('stroke="#d40000"') == 2  # circle + triangle
+
+    def test_arrowheads_take_the_annotation_colour(self, catalog, simple_model):
+        views = annotate(render_views(simple_model, ["front", "top"]), simple_model, catalog)
+        svg = to_svg(layout_sheet(views))
+        # No element sets `color`, so currentColor would render black.
+        assert "currentColor" not in svg
+        arrows = re.findall(r'<path d="[^"]*Z" fill="([^"]*)"', svg)
+        assert arrows and set(arrows) == {ANNOTATION_COLOR}
 
     def test_byte_identical_across_runs(self, catalog, simple_model):
         def run():

@@ -24,7 +24,6 @@ from cabinetkit.geometry import (
     box_bounds,
     box_footprint,
     clip_convex,
-    clip_iou,
     iou3d,
     merge_segments,
     model_aabb,
@@ -33,7 +32,7 @@ from cabinetkit.geometry import (
     project_box,
 )
 from cabinetkit.metrics import iou_matrix
-from helpers import aabb_iou_oracle, box_corners, project_box_oracle, random_box
+from helpers import aabb_iou_oracle, box_corners, clip_iou, project_box_oracle, random_box
 
 SQRT2 = math.sqrt(2.0)
 

@@ -229,7 +229,7 @@ class TestEvaluateSample:
             for value in (r.precision, r.recall, r.f1):
                 assert 0.0 <= value <= 1.0
 
-    def test_retrieval_over_all_pairs_flag(self, catalog):
+    def test_retrieval_total_counts_tp_pairs_only(self, catalog):
         gt = unit_cube_model(catalog, [0.5, 10.5])
         pred = CabinetModel(
             (
@@ -237,10 +237,12 @@ class TestEvaluateSample:
                 make_instance(catalog, "M-DOOR", OrientedBox((11.0, 0.5, 0.5), (1, 1, 1))),
             )
         )
-        default = evaluate_sample(pred, gt, catalog)
-        assert default.retrieval_total == 1  # TP pairs only
-        all_pairs = evaluate_sample(pred, gt, catalog, retrieval_over_all_pairs=True)
-        assert all_pairs.retrieval_total == 2
+        report = evaluate_sample(pred, gt, catalog)
+        # The second pair is matched at IoU 1/3, below the threshold.
+        assert len(match(pred, gt).pairs) == 2
+        assert (report.tp, report.retrieval_total) == (1, 1)
+        with pytest.raises(TypeError):
+            evaluate_sample(pred, gt, catalog, retrieval_over_all_pairs=True)
 
 
 class TestParamMatch:

@@ -20,7 +20,7 @@ def _changed(cases: list[dict], got: list[dict]) -> list[str]:
 def test_pinned_parse_outcomes_unchanged(catalog):
     expected = FIXTURE.read_text(encoding="utf-8")
     cases = json.loads(expected)
-    got = [outcome(case["text"], case["strict"], catalog) for case in cases]
+    got = [outcome(case["text"], catalog) for case in cases]
     changed = _changed(cases, got)
     assert not changed, f"{len(changed)} cases changed, first: {changed[0]!r}"
     assert dumps(got) == expected

@@ -80,30 +80,25 @@ class TestParsePython:
         assert 0 <= syntax[0].span.offset < len(text)
         assert "3 components" in syntax[0].message
 
-    def test_unknown_model_strict_vs_lenient(self, catalog):
+    def test_unknown_model_is_a_warning_at_the_id(self, catalog):
         text = (
             "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n"
             'm0 = Model(id="M-MYSTERY", box=b0, QQ=12)\n'
         )
-        strict = parse_python(text, catalog, strict=True)
-        assert not strict.ok
-        assert any(d.code == "unknown-model" and d.severity == "error"
-                   for d in strict.diagnostics)
-
-        lenient = parse_python(text, catalog, strict=False)
-        assert lenient.ok
-        assert any(d.code == "unknown-model" and d.severity == "warning"
-                   for d in lenient.diagnostics)
+        result = parse_python(text, catalog)
+        assert result.ok
+        assert [(d.severity, d.code, str(d.span)) for d in result.diagnostics] == [
+            ("warning", "unknown-model", "2:15")
+        ]
         # unknown params preserved verbatim, as text
-        assert lenient.model.instances[0].params == {"QQ": "12"}
+        assert result.model.instances[0].params == {"QQ": "12"}
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_empty_model_id_is_an_error_at_the_id(self, catalog, strict):
+    def test_empty_model_id_is_an_error_at_the_id(self, catalog):
         text = (
             "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n"
             'm0 = Model(id="", box=b0)\n'
         )
-        result = parse_python(text, catalog, strict=strict)
+        result = parse_python(text, catalog)
         assert not result.ok
         assert [(d.severity, d.code, str(d.span)) for d in result.diagnostics] == [
             ("error", "empty-id", "2:15")
@@ -118,15 +113,17 @@ class TestParsePython:
         assert result.ok
         assert result.model.instances[0].params == {"ZZ": "4.5"}
 
-    def test_schema_violation_strict_is_error(self, catalog):
+    def test_schema_violation_is_a_warning_at_the_id(self, catalog):
         text = (
             "b0 = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n"
             'm0 = Model(id="M-BB01", box=b0, N=1, NKA=300, DBXX=9)\n'
         )
-        assert not parse_python(text, catalog, strict=True).ok
-        lenient = parse_python(text, catalog, strict=False)
-        assert lenient.ok
-        assert any(d.severity == "warning" for d in lenient.diagnostics)
+        result = parse_python(text, catalog)
+        assert result.ok
+        assert [(d.severity, d.code, str(d.span)) for d in result.diagnostics] == [
+            ("warning", "param-value", "2:15")
+        ]
+        assert result.model.instances[0].params == {"N": 1, "NKA": 300, "DBXX": 9}
 
     def test_duplicate_param_key_is_error(self, catalog):
         text = (
@@ -234,52 +231,49 @@ cabinet:
         ids=["before", "after", "instead"],
     )
     def test_unknown_top_level_key_is_syntax_error(self, catalog, text, key):
-        for strict in (False, True):
-            result = parse_yaml(text, catalog, strict=strict)
-            assert not result.ok
-            diag = result.diagnostics[0]
-            assert (diag.code, diag.message) == ("syntax", f"unknown top-level key {key!r}")
-            assert (diag.span.offset, diag.span.length) == (text.index(key + ":"), len(key))
+        result = parse_yaml(text, catalog)
+        assert not result.ok
+        diag = result.diagnostics[0]
+        assert (diag.code, diag.message) == ("syntax", f"unknown top-level key {key!r}")
+        assert (diag.span.offset, diag.span.length) == (text.index(key + ":"), len(key))
 
     @pytest.mark.parametrize(
         "value", ["5", "5.0", "[a]", "[]", "\n    first: a"], ids=["int", "float", "seq", "empty", "map"]
     )
     def test_name_must_be_a_string(self, catalog, value):
         text = _DOOR_YAML.replace("  position:", f"  name: {value}\n  position:")
-        for strict in (False, True):
-            result = parse_yaml(text, catalog, strict=strict)
-            assert not result.ok
-            assert [(d.code, d.message) for d in result.diagnostics] == [
-                ("syntax", "'name' must be a string")
-            ]
-            assert result.diagnostics[0].span.offset == text.index(value.strip())
+        result = parse_yaml(text, catalog)
+        assert not result.ok
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("syntax", "'name' must be a string")
+        ]
+        assert result.diagnostics[0].span.offset == text.index(value.strip())
 
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_empty_model_id_is_an_error_at_the_id(self, catalog, strict):
+    def test_empty_model_id_is_an_error_at_the_id(self, catalog):
         door = CabinetModel((make_instance(catalog, "M-DOOR", OrientedBox((9, 9, 9), (5, 5, 5))),))
         emitted = emit_yaml(door, catalog)  # laid out for the one-regex accept path
         texts = [_DOOR_YAML.replace("M-DOOR", '""'), _DOOR_YAML.replace("M-DOOR", "''"),
                  emitted.replace("- id: M-DOOR", '- id: ""')]
         for text in texts:
-            result = parse_yaml(text, catalog, strict=strict)
+            result = parse_yaml(text, catalog)
             assert not result.ok
             assert [(d.severity, d.code, str(d.span)) for d in result.diagnostics] == [
                 ("error", "empty-id", "2:7")
             ]
 
 
-def _accept_path_agrees(text: str, catalog, strict: bool) -> bool:
+def _accept_path_agrees(text: str, catalog) -> bool:
     """Whether the accept path took `text`; asserts that it read it as `ryaml` does."""
     try:
-        model = program._read_emitted_yaml(text, catalog, strict)
+        model = program._read_emitted_yaml(text, catalog)
     except ValueError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            program._parse_yaml_tree(text, catalog, strict)
+            program._parse_yaml_tree(text, catalog)
         return True
     if model is None:
         return False
-    reference = program._parse_yaml_tree(text, catalog, strict)
+    reference = program._parse_yaml_tree(text, catalog)
     assert reference.diagnostics == []
     assert repr(model) == repr(reference.model)
     return True
@@ -306,19 +300,18 @@ class TestYamlAcceptPath:
 
         monkeypatch.setattr(ryaml, "parse", node_reader)
         for model in synthesized_models(catalog, seed):
-            for strict in (False, True):
-                result = parse_yaml(emit_yaml(model, catalog), catalog, strict=strict)
-                assert result.diagnostics == []
-                assert result.model == model
+            result = parse_yaml(emit_yaml(model, catalog), catalog)
+            assert result.diagnostics == []
+            assert result.model == model
 
-    @given(data=st.data(), strict=st.booleans())
+    @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_accept_path_agrees_with_the_node_reader(self, catalog, data, strict):
+    def test_accept_path_agrees_with_the_node_reader(self, catalog, data):
         text = data.draw(emitted_yaml(catalog))
-        assert _accept_path_agrees(text, catalog, strict)
+        assert _accept_path_agrees(text, catalog)
         rng = data.draw(st.randoms(use_true_random=False))
         for _ in range(4):
-            _accept_path_agrees(_mutate(text, rng, _YAML_ALPHABET), catalog, strict)
+            _accept_path_agrees(_mutate(text, rng, _YAML_ALPHABET), catalog)
 
 
 class TestRoundTrip:
@@ -385,6 +378,15 @@ class TestRoundTrip:
         value = model_id if "\n" in model_id else text
         with pytest.raises(ValueError, match=re.escape(repr(value))):
             emit_python(CabinetModel((inst,)), catalog)
+
+    def test_python_syntax_drops_the_name(self, catalog):
+        inst = make_instance(catalog, "M-BB01", OrientedBox((300, 200, 100), (600, 400, 200)))
+        named = dataclasses.replace(inst, name="fid shelf")
+        model = CabinetModel((named,))
+        assert parse_yaml(emit_yaml(model, catalog), catalog).model == model
+        back = parse_python(emit_python(model, catalog), catalog).model
+        assert back.instances[0].name == inst.name == "base box"
+        assert back == CabinetModel((inst,))
 
     def test_fractional_and_rotated_values(self, catalog):
         inst = make_instance(
