@@ -45,11 +45,9 @@ from .drawing import (
 from .geometry import (
     OrientedBox,
     box_footprint,
-    clip_convex,
     iou3d,
     merge_segments,
     model_aabb,
-    polygon_area,
     project_box,
 )
 from .metrics import (
@@ -103,7 +101,6 @@ __all__ = [
     "annotate",
     "box_footprint",
     "builtin_catalog",
-    "clip_convex",
     "decode",
     "dequantize_length",
     "dequantize_rotation",
@@ -127,7 +124,6 @@ __all__ = [
     "parse_python",
     "parse_yaml",
     "perturb",
-    "polygon_area",
     "project_box",
     "quantize_length",
     "quantize_rotation",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import codec, corpus, drawing, metrics, program, synth
 from .catalog import CatalogError, PrimitiveCatalog, builtin_catalog, load_catalog
-from .diagnostics import error, has_errors
+from .diagnostics import error, has_errors, warning
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -57,7 +57,9 @@ def cmd_validate(args) -> int:
     if result.model is None:
         diags = result.diagnostics
     else:
-        diags = program.validate(result.model, catalog, filters=args.filters)
+        diags = program.validate(
+            result.model, catalog, filters=args.filters, spans=result.id_spans()
+        )
     _print_diagnostics(diags, prefix=f"{path}:")
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
@@ -72,6 +74,7 @@ def cmd_convert(args) -> int:
         return EXIT_DIAGNOSTICS
     if args.to == "python":
         text = program.emit_python(result.model, catalog)
+        _print_diagnostics(_dropped_names(result, catalog), prefix=f"{in_path}:")
     elif args.to == "yaml":
         text = program.emit_yaml(result.model, catalog)
     else:  # commands
@@ -84,6 +87,21 @@ def cmd_convert(args) -> int:
         text = codec.format_commands(sequence)
     Path(args.output).write_text(text, encoding="utf-8")
     return EXIT_OK
+
+
+def _dropped_names(result: program.ParseResult, catalog: PrimitiveCatalog) -> list:
+    """A warning for each instance whose name the Python syntax cannot keep.
+
+    That syntax has no `name`: reading it back gives the catalog name.
+    """
+    model, spans = result.model, result.id_spans()
+    found = []
+    for index, instance in enumerate(model.instances):
+        schema = catalog.get(instance.model_id)
+        if instance.name != (schema.name if schema is not None else ""):
+            message = f"instance {index}: name {instance.name!r} is not kept by the Python syntax"
+            found.append(warning("name-dropped", message, spans[index]))
+    return found
 
 
 def cmd_render(args) -> int:

@@ -4,7 +4,10 @@ Coordinate conventions: the up axis is +z, the front of a cabinet faces -y,
 and the world origin sits at a cabinet corner so that valid assemblies lie
 in the first octant. Boxes rotate about the vertical (z) axis only, which
 keeps every overlap query an exact 2D convex-polygon problem times a 1D
-interval overlap.
+interval overlap. `pairwise_iou` clips all of a call's convex footprint
+pairs at once, as padded numpy arrays (`_clip_areas`), in the float
+operation order of the per-pair Sutherland-Hodgman loop that the tests keep
+as its reference, so its scores equal that loop's bit for bit.
 
 All lengths are millimeters.
 """
@@ -125,65 +128,6 @@ def box_footprint(box: OrientedBox) -> list[Point2]:
     return verts
 
 
-def polygon_area(poly: Iterable[Point2]) -> float:
-    """Unsigned area of a simple polygon (shoelace)."""
-    verts = list(poly)
-    if len(verts) < 3:
-        return 0.0
-    acc = 0.0
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
-        acc += x0 * y1 - x1 * y0
-    return abs(acc) / 2.0
-
-
-def clip_convex(subject: list[Point2], clip: list[Point2]) -> list[Point2]:
-    """Sutherland-Hodgman intersection of two convex CCW polygons.
-
-    Points exactly on a clip edge count as inside (within CLIP_EPS), so
-    clipping a polygon against itself returns it unchanged.
-    """
-    output = list(subject)
-    if not output or len(clip) < 3:
-        return []
-    for (ex0, ey0), (ex1, ey1) in zip(clip, clip[1:] + clip[:1]):
-        if not output:
-            return []
-        dx, dy = ex1 - ex0, ey1 - ey0
-
-        def side(p: Point2) -> float:
-            return dx * (p[1] - ey0) - dy * (p[0] - ex0)
-
-        polygon, output = output, []
-        prev = polygon[-1]
-        prev_side = side(prev)
-        for curr in polygon:
-            curr_side = side(curr)
-            if curr_side >= -CLIP_EPS:
-                if prev_side < -CLIP_EPS:
-                    output.append(_edge_intersection(prev, curr, prev_side, curr_side))
-                output.append(curr)
-            elif prev_side >= -CLIP_EPS:
-                output.append(_edge_intersection(prev, curr, prev_side, curr_side))
-            prev, prev_side = curr, curr_side
-    return _dedupe_ring(output)
-
-
-def _edge_intersection(p: Point2, q: Point2, sp: float, sq: float) -> Point2:
-    t = sp / (sp - sq)
-    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-
-def _dedupe_ring(verts: list[Point2]) -> list[Point2]:
-    out: list[Point2] = []
-    for v in verts:
-        if out and abs(v[0] - out[-1][0]) <= CLIP_EPS and abs(v[1] - out[-1][1]) <= CLIP_EPS:
-            continue
-        out.append(v)
-    while len(out) > 1 and abs(out[0][0] - out[-1][0]) <= CLIP_EPS and abs(out[0][1] - out[-1][1]) <= CLIP_EPS:
-        out.pop()
-    return out
-
-
 def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox]) -> np.ndarray:
     """IoU of every (a, b) pair of z-rotated boxes, shape (len(a), len(b)).
 
@@ -191,43 +135,151 @@ def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox])
     scores the exact AABB product: the overlaps of the two boxes' bounds on
     each axis multiplied, over volumes taken from the same bounds, so that
     identical boxes score exactly 1.0. Any other pair scores its footprint
-    intersection area times its z overlap (`_clip_iou`); the clipping runs
-    only for pairs that overlap in z and whose xy bounds are not apart by
-    more than the clipping tolerance can bridge. Pairs that only touch
-    (zero-volume intersection) score 0, exactly so when both boxes are at
-    right angles or the touch is in z.
+    intersection area times its z overlap, over volumes taken from each
+    footprint's area and z interval, capped so the score stays in [0, 1].
+    The clipping runs only for pairs that overlap in z and whose xy bounds
+    are not apart by more than the clipping tolerance can bridge, and all of
+    a call's pairs are clipped at once (`_clip_areas`). Each box's footprint,
+    footprint area and z interval are worked out once per call. Pairs that
+    only touch (zero-volume intersection) score 0, exactly so when both boxes
+    are at right angles or the touch is in z.
     """
     iou = np.zeros((len(boxes_a), len(boxes_b)))
     if iou.size == 0:
         return iou
-    lo_a, hi_a, right_a = box_bounds(boxes_a)
-    lo_b, hi_b, right_b = box_bounds(boxes_b)
-    overlap = np.minimum(hi_a[:, None], hi_b[None]) - np.maximum(lo_a[:, None], lo_b[None])
-    ox, oy, oz = overlap[..., 0], overlap[..., 1], overlap[..., 2]
-    ext_a, ext_b = hi_a - lo_a, hi_b - lo_b
-    vol_a = ext_a[:, 0] * ext_a[:, 1] * ext_a[:, 2]
-    vol_b = ext_b[:, 0] * ext_b[:, 1] * ext_b[:, 2]
-    inter = ox * oy * oz
-    right = right_a[:, None] & right_b[None]
-    product = (ox > 0) & (oy > 0) & (oz > 0) & right
-    np.divide(inter, (vol_a[:, None] + vol_b[None]) - inter, out=iou, where=product)
+    lo_a, hi_a, right_a, feet_a = _bounds(boxes_a)
+    lo_b, hi_b, right_b, feet_b = _bounds(boxes_b)
+    # Every pair takes the AABB arithmetic, and only right-angle pairs that
+    # overlap keep it. The others can overflow (huge or far-apart boxes), and
+    # a gap wider than the largest float is -inf: those lanes are discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = np.minimum(hi_a[:, None], hi_b[None]) - np.maximum(lo_a[:, None], lo_b[None])
+        ox, oy, oz = overlap[..., 0], overlap[..., 1], overlap[..., 2]
+        ext_a, ext_b = hi_a - lo_a, hi_b - lo_b
+        vol_a = ext_a[:, 0] * ext_a[:, 1] * ext_a[:, 2]
+        vol_b = ext_b[:, 0] * ext_b[:, 1] * ext_b[:, 2]
+        inter = ox * oy * oz
+        right = right_a[:, None] & right_b[None]
+        product = (ox > 0) & (oy > 0) & (oz > 0) & right
+        np.divide(inter, (vol_a[:, None] + vol_b[None]) - inter, out=iou, where=product)
     if right.all():
         return iou
 
     # Clipping keeps vertices up to CLIP_EPS / |edge| outside each edge of
     # the clip polygon, at most 2 * CLIP_EPS / |edge| past its AABB. `reach`
     # doubles that and adds CLIP_EPS: pairs apart in x or y by more clip to
-    # nothing. The z test is the one `_clip_iou` makes.
+    # nothing. A sub-1e-300 mm edge reaches everywhere (inf).
     edge_a = np.array([min(box.size[0], box.size[1]) for box in boxes_a])
     edge_b = np.array([min(box.size[0], box.size[1]) for box in boxes_b])
-    reach = CLIP_EPS + 4.0 * CLIP_EPS / np.minimum(edge_a[:, None], edge_b[None])
-    clip = ~right & (oz > 0) & (ox > -reach) & (oy > -reach)
-    rows, cols = (index.tolist() for index in np.nonzero(clip))
-    feet_a = {i: box_footprint(boxes_a[i]) for i in set(rows)}
-    feet_b = {j: box_footprint(boxes_b[j]) for j in set(cols)}
-    for i, j in zip(rows, cols):
-        iou[i, j] = _clip_iou(boxes_a[i], feet_a[i], boxes_b[j], feet_b[j])
+    with np.errstate(over="ignore"):
+        reach = CLIP_EPS + 4.0 * CLIP_EPS / np.minimum(edge_a[:, None], edge_b[None])
+    rows, cols = np.nonzero(~right & (oz > 0) & (ox > -reach) & (oy > -reach))
+    if rows.size == 0:
+        return iou
+    _add_right_angle_footprints(feet_a, boxes_a, right_a, rows)
+    _add_right_angle_footprints(feet_b, boxes_b, right_b, cols)
+    # The scalar rule is Python float arithmetic, which overflows to inf and
+    # makes NaN without a word: so does this, for the same huge boxes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        area_a = _ring_area(feet_a[..., 0], feet_a[..., 1], np.full(len(feet_a), 4))
+        area_b = _ring_area(feet_b[..., 0], feet_b[..., 1], np.full(len(feet_b), 4))
+        inter_area = _clip_areas(feet_a[rows], feet_b[cols])
+        # Volumes go through the same footprint areas and z intervals as the
+        # intersection, so that identical boxes score exactly 1.0. Capped by
+        # both volumes, which rounding can leave below it, the score stays in
+        # [0, 1]; each `where` is a step of Python's min(inter, vol_a, vol_b).
+        vol_a = area_a[rows] * (hi_a[rows, 2] - lo_a[rows, 2])
+        vol_b = area_b[cols] * (hi_b[cols, 2] - lo_b[cols, 2])
+        inter = inter_area * oz[rows, cols]
+        inter = np.where(vol_a < inter, vol_a, inter)
+        inter = np.where(vol_b < inter, vol_b, inter)
+        scored = (inter_area > 0) & (inter > 0)
+        inter, vol_a, vol_b = inter[scored], vol_a[scored], vol_b[scored]
+        iou[rows[scored], cols[scored]] = inter / (vol_a + vol_b - inter)
     return iou
+
+
+def _clip_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Intersection area of each pair of convex CCW quads, shape (pairs,).
+
+    Sutherland-Hodgman on every pair at once: row p clips ring `subject[p]`
+    (shape (pairs, 4, 2)) by each edge of `clip[p]` in turn. Points on an
+    edge or up to CLIP_EPS outside it count as inside, so a quad clipped by
+    itself comes back unchanged. Rings are padded arrays with a vertex count
+    per row, sized from the counts. Per edge, each vertex emits the edge's
+    crossing of its incoming side (when exactly one end is inside), then
+    itself (when inside), in ring order. The clipped ring then drops each
+    vertex within CLIP_EPS (per axis) of the last one kept and each
+    trailing vertex within CLIP_EPS of the first, and gives its shoelace
+    area. Every float operation is the one the per-pair loop makes, in its
+    order, so the areas agree with it bit for bit.
+    """
+    pairs = len(subject)
+    lane = np.arange(pairs)
+    x, y = subject[..., 0], subject[..., 1]
+    count = np.full(pairs, 4)
+    for k in range(4):
+        ex0, ey0 = clip[:, k, 0, None], clip[:, k, 1, None]
+        ex1, ey1 = clip[:, (k + 1) % 4, 0, None], clip[:, (k + 1) % 4, 1, None]
+        dx, dy = ex1 - ex0, ey1 - ey0
+        side = dx * (y - ey0) - dy * (x - ex0)
+        inside = side >= -CLIP_EPS
+        last = np.maximum(count - 1, 0)
+        px, py, p_side, p_inside = (
+            np.concatenate((v[lane, last, None], v[:, :-1]), axis=1) for v in (x, y, side, inside)
+        )
+        valid = np.arange(x.shape[1]) < count[:, None]
+        # Lanes where the edge is not crossed divide by zero; they are dropped.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = p_side / (p_side - side)
+        emit = np.stack((valid & (inside != p_inside), valid & inside), axis=2).reshape(pairs, -1)
+        count = emit.sum(axis=1)
+        if not count.any():
+            return np.zeros(pairs)
+        x = _compact(np.stack((px + t * (x - px), x), axis=2).reshape(pairs, -1), emit, count)
+        y = _compact(np.stack((py + t * (y - py), y), axis=2).reshape(pairs, -1), emit, count)
+
+    keep = np.zeros(x.shape, dtype=bool)
+    keep[:, 0] = count > 0
+    kept_x, kept_y = x[:, 0], y[:, 0]
+    for k in range(1, x.shape[1]):
+        near = (np.abs(x[:, k] - kept_x) <= CLIP_EPS) & (np.abs(y[:, k] - kept_y) <= CLIP_EPS)
+        keep[:, k] = (k < count) & ~near
+        kept_x = np.where(keep[:, k], x[:, k], kept_x)
+        kept_y = np.where(keep[:, k], y[:, k], kept_y)
+    count = keep.sum(axis=1)
+    x, y = _compact(x, keep, count), _compact(y, keep, count)
+    while True:
+        last = np.maximum(count - 1, 0)
+        near_x = np.abs(x[:, 0] - x[lane, last]) <= CLIP_EPS
+        pop = (count > 1) & near_x & (np.abs(y[:, 0] - y[lane, last]) <= CLIP_EPS)
+        if not pop.any():
+            return _ring_area(x, y, count)
+        count = count - pop
+
+
+def _compact(values: np.ndarray, keep: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each row's `keep` entries, in order, at its front; zeros pad the rest."""
+    slots = np.arange(count.max()) < count[:, None]
+    out = np.zeros(slots.shape)
+    out[slots] = values[keep]
+    return out
+
+
+def _ring_area(x: np.ndarray, y: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Unsigned shoelace area of each row's first `count` vertices; 0 below 3.
+
+    The cross terms are summed column by column, in ring order, as a scalar
+    loop would add them.
+    """
+    lane = np.arange(len(x))
+    last = np.maximum(count - 1, 0)
+    next_x = np.concatenate((x[:, 1:], x[:, :1]), axis=1)
+    next_y = np.concatenate((y[:, 1:], y[:, :1]), axis=1)
+    next_x[lane, last] = x[:, 0]
+    next_y[lane, last] = y[:, 0]
+    acc = np.cumsum(x * next_y - next_x * y, axis=1)[lane, last]
+    return np.where(count >= 3, np.abs(acc) / 2.0, 0.0)
 
 
 def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,6 +290,15 @@ def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np
     on odd quarter turns), which is bit-identical to its corners; a rotated
     box's xy bounds come from its footprint corners.
     """
+    lo, hi, right, _ = _bounds(boxes)
+    return lo, hi, right
+
+
+def _bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`box_bounds`, and the footprints, shape (n, 4, 2), of the rotated boxes.
+
+    Rows of right-angle boxes' footprints are left at zero.
+    """
     n = len(boxes)
     position = np.array([box.position for box in boxes]).reshape(n, 3)
     half = np.array([box.size for box in boxes]).reshape(n, 3) / 2.0
@@ -247,29 +308,22 @@ def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np
     half[odd, :2] = half[odd, 1::-1]
     lo = position - half
     hi = position + half
-    for i in np.flatnonzero(~right).tolist():
-        xs, ys = zip(*box_footprint(boxes[i]))
-        lo[i, :2] = min(xs), min(ys)
-        hi[i, :2] = max(xs), max(ys)
-    return lo, hi, right
+    feet = np.zeros((n, 4, 2))
+    rotated = np.flatnonzero(~right)
+    if rotated.size:
+        feet[rotated] = [box_footprint(boxes[i]) for i in rotated.tolist()]
+        lo[rotated, :2] = feet[rotated].min(axis=1)
+        hi[rotated, :2] = feet[rotated].max(axis=1)
+    return lo, hi, right, feet
 
 
-def _clip_iou(a: OrientedBox, foot_a: list[Point2], b: OrientedBox, foot_b: list[Point2]) -> float:
-    za0, za1 = a.z_interval
-    zb0, zb1 = b.z_interval
-    overlap_z = min(za1, zb1) - max(za0, zb0)
-    if overlap_z <= 0:
-        return 0.0
-    inter_area = polygon_area(clip_convex(foot_a, foot_b))
-    if inter_area <= 0:
-        return 0.0
-    # Volumes go through the same footprint areas and z intervals as the
-    # intersection, so that identical boxes score exactly 1.0. Capped by both
-    # volumes, which rounding can leave below it, the score stays in [0, 1].
-    vol_a = polygon_area(foot_a) * (za1 - za0)
-    vol_b = polygon_area(foot_b) * (zb1 - zb0)
-    inter = min(inter_area * overlap_z, vol_a, vol_b)
-    return inter / (vol_a + vol_b - inter) if inter > 0 else 0.0
+def _add_right_angle_footprints(
+    feet: np.ndarray, boxes: Sequence[OrientedBox], right: np.ndarray, index: np.ndarray
+) -> None:
+    """Fill in the footprints of the right-angle boxes among `index`."""
+    needed = np.flatnonzero(np.bincount(index, minlength=len(boxes)).astype(bool) & right)
+    if needed.size:
+        feet[needed] = [box_footprint(boxes[i]) for i in needed.tolist()]
 
 
 def iou3d(a: OrientedBox, b: OrientedBox) -> float:

@@ -25,10 +25,11 @@ its catalog name (or none for an unknown ID). YAML keeps the name.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 from . import geometry, ryaml
 from .catalog import NK_KEY_RE, PARAM_KEY_RE, ParamValue, PrimitiveCatalog, validate_params
@@ -84,10 +85,16 @@ def make_instance(
 
 @dataclass
 class ParseResult:
-    """Outcome of a parse: a model when no errors occurred, plus diagnostics."""
+    """Outcome of a parse: a model when no errors occurred, plus diagnostics.
+
+    `id_spans()` gives the source span of each instance's model ID, for
+    `validate` to place its findings. It is worked out on request, so that
+    reading clean input spends nothing on it.
+    """
 
     model: CabinetModel | None
     diagnostics: list[Diagnostic]
+    id_spans: Callable[[], list[SourceSpan | None]] = field(default=list, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -308,9 +315,10 @@ def parse_python(text: str | bytes, catalog: PrimitiveCatalog) -> ParseResult:
         return ParseResult(None, diags)
 
     instances: list[PrimitiveInstance] = []
+    id_spans: list[Callable[[], SourceSpan]] = []
     while not parser.at_eof():
         try:
-            instance = _parse_primitive(parser, lines, catalog, diags)
+            instance = _parse_primitive(parser, lines, catalog, diags, id_spans)
         except _SyntaxError as exc:
             diags.append(error("syntax", exc.message, lines.span(exc.token)))
             parser.skip_to_newline()
@@ -322,7 +330,7 @@ def parse_python(text: str | bytes, catalog: PrimitiveCatalog) -> ParseResult:
         if not instances and not has_errors(diags):
             diags.append(error("empty", "program defines no primitives"))
         return ParseResult(None, diags)
-    return ParseResult(CabinetModel(tuple(instances)), diags)
+    return ParseResult(CabinetModel(tuple(instances)), diags, lambda: [span() for span in id_spans])
 
 
 def _parse_primitive(
@@ -330,7 +338,9 @@ def _parse_primitive(
     lines: _LineIndex,
     catalog: PrimitiveCatalog,
     diags: list[Diagnostic],
+    id_spans: list[Callable[[], SourceSpan]],
 ) -> PrimitiveInstance | None:
+    """One Box and Model statement pair; a kept instance's ID span goes to `id_spans`."""
     # Statement 1: <var> = Box(position=(...), size=(...), rotation=r)
     box_var = parser.expect_name("box variable name")
     parser.expect_op("=")
@@ -438,9 +448,11 @@ def _parse_primitive(
         raise _SyntaxError("Model is missing the 'id' argument", ctor)
     if box_ref is None:
         raise _SyntaxError("Model is missing the 'box' argument", ctor)
-    return _finish_instance(
-        model_id, None, lambda: lines.span(id_token), box, params, raw_params, catalog, diags
-    )
+    id_span = functools.partial(lines.span, id_token)
+    instance = _finish_instance(model_id, None, id_span, box, params, raw_params, catalog, diags)
+    if instance is not None:
+        id_spans.append(id_span)
+    return instance
 
 
 def _finish_instance(
@@ -519,7 +531,7 @@ def parse_yaml(text: str | bytes, catalog: PrimitiveCatalog) -> ParseResult:
         return ParseResult(None, diags)
     model = _read_emitted_yaml(decoded, catalog)
     if model is not None:
-        return ParseResult(model, [])
+        return ParseResult(model, [], lambda: _parse_yaml_tree(decoded, catalog).id_spans())
     return _parse_yaml_tree(decoded, catalog)
 
 
@@ -622,16 +634,18 @@ def _parse_yaml_tree(text: str, catalog: PrimitiveCatalog) -> ParseResult:
     entries = root.get("cabinet")
     assert isinstance(entries, ryaml.SeqNode)
     instances: list[PrimitiveInstance] = []
+    id_spans: list[SourceSpan | None] = []
     for index, entry in enumerate(entries.items):
         instance = _instance_from_yaml(index, entry, catalog, diags)
         if instance is not None:
             instances.append(instance)
+            id_spans.append(entry.get("id").span)
 
     if has_errors(diags) or not instances:
         if not instances and not has_errors(diags):
             diags.append(error("empty", "cabinet sequence is empty", _span_of(entries)))
         return ParseResult(None, diags)
-    return ParseResult(CabinetModel(tuple(instances)), diags)
+    return ParseResult(CabinetModel(tuple(instances)), diags, lambda: id_spans)
 
 
 def _instance_from_yaml(
@@ -786,19 +800,26 @@ def _decode(text: str | bytes) -> tuple[str | None, list[Diagnostic]]:
 
 
 def validate(
-    model: CabinetModel, catalog: PrimitiveCatalog, *, filters: bool = False
+    model: CabinetModel,
+    catalog: PrimitiveCatalog,
+    *,
+    filters: bool = False,
+    spans: Sequence[SourceSpan | None] = (),
 ) -> list[Diagnostic]:
     """Check model invariants and, optionally, the dataset-filter rules.
 
-    Returns all violations as diagnostics; an empty list means valid.
+    Returns all violations as diagnostics; an empty list means valid. Given
+    `spans`, one per instance (`ParseResult.id_spans()`), each finding about
+    an instance carries its instance's span.
     """
     diags: list[Diagnostic] = []
     lo, hi, _ = geometry.box_bounds([instance.box for instance in model.instances])
     lowest = lo.min(axis=1).tolist()
     for index, instance in enumerate(model.instances):
+        found: list[Diagnostic] = []
         schema = catalog.get(instance.model_id)
         if schema is None:
-            diags.append(
+            found.append(
                 error(
                     "unknown-model",
                     f"instance {index}: unknown model ID {instance.model_id!r}",
@@ -806,18 +827,20 @@ def validate(
             )
         else:
             for diag in validate_params(schema, instance.params):
-                diags.append(
+                found.append(
                     Diagnostic(diag.severity, diag.code, f"instance {index}: {diag.message}")
                 )
-            diags.extend(_check_width_closure(index, instance, schema, catalog))
+            found.extend(_check_width_closure(index, instance, schema, catalog))
         if lowest[index] < -geometry.OCTANT_EPS:
-            diags.append(
+            found.append(
                 error(
                     "octant",
                     f"instance {index}: box extends outside the first octant "
                     f"(min corner coordinate {lowest[index]:.6f} mm)",
                 )
             )
+        span = spans[index] if spans else None
+        diags.extend(found if span is None else [replace(diag, span=span) for diag in found])
 
     if filters:
         if len(model.instances) > MAX_INSTANCES:

@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+import math
+from typing import Iterable
 
 import numpy as np
 from hypothesis import strategies as st
 
 from cabinetkit import CabinetModel, OrientedBox, SynthSpec, generate, make_instance
-from cabinetkit.geometry import CLIP_EPS, _clip_iou, box_footprint, merge_segments, view_axes
+from cabinetkit.geometry import CLIP_EPS, Point2, box_footprint, merge_segments, view_axes
 
 
 def awkward_text(min_size: int = 0):
@@ -59,13 +61,118 @@ def aabb_iou_oracle(a: OrientedBox, b: OrientedBox) -> float:
     return inter / (va + vb - inter)
 
 
-def clip_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """IoU as footprint clipping times z overlap, with no prefilter.
+def polygon_area(poly: Iterable[Point2]) -> float:
+    """Unsigned area of a simple polygon (shoelace)."""
+    verts = list(poly)
+    if len(verts) < 3:
+        return 0.0
+    acc = 0.0
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        acc += x0 * y1 - x1 * y0
+    return abs(acc) / 2.0
 
-    This is the route `pairwise_iou` takes for pairs with a box that is not
-    at a right angle, kept whole so that the prefilter can be checked against it.
+
+def clip_convex(subject: list[Point2], clip: list[Point2]) -> list[Point2]:
+    """Sutherland-Hodgman intersection of two convex CCW polygons.
+
+    Points exactly on a clip edge count as inside (within CLIP_EPS), so
+    clipping a polygon against itself returns it unchanged.
     """
-    return _clip_iou(a, box_footprint(a), b, box_footprint(b))
+    output = list(subject)
+    if not output or len(clip) < 3:
+        return []
+    for (ex0, ey0), (ex1, ey1) in zip(clip, clip[1:] + clip[:1]):
+        if not output:
+            return []
+        dx, dy = ex1 - ex0, ey1 - ey0
+
+        def side(p: Point2) -> float:
+            return dx * (p[1] - ey0) - dy * (p[0] - ex0)
+
+        polygon, output = output, []
+        prev = polygon[-1]
+        prev_side = side(prev)
+        for curr in polygon:
+            curr_side = side(curr)
+            if curr_side >= -CLIP_EPS:
+                if prev_side < -CLIP_EPS:
+                    output.append(_edge_intersection(prev, curr, prev_side, curr_side))
+                output.append(curr)
+            elif prev_side >= -CLIP_EPS:
+                output.append(_edge_intersection(prev, curr, prev_side, curr_side))
+            prev, prev_side = curr, curr_side
+    return _dedupe_ring(output)
+
+
+def _edge_intersection(p: Point2, q: Point2, sp: float, sq: float) -> Point2:
+    t = sp / (sp - sq)
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def _dedupe_ring(verts: list[Point2]) -> list[Point2]:
+    out: list[Point2] = []
+    for v in verts:
+        if out and abs(v[0] - out[-1][0]) <= CLIP_EPS and abs(v[1] - out[-1][1]) <= CLIP_EPS:
+            continue
+        out.append(v)
+    while len(out) > 1 and abs(out[0][0] - out[-1][0]) <= CLIP_EPS and abs(out[0][1] - out[-1][1]) <= CLIP_EPS:
+        out.pop()
+    return out
+
+
+def clip_iou(a: OrientedBox, b: OrientedBox) -> float:
+    """IoU as footprint clipping times z overlap, pair by pair, with no prefilter.
+
+    This is the rule `pairwise_iou` applies, all pairs at once, to pairs with
+    a box that is not at a right angle: the reference for its array clipper
+    and its prefilter.
+    """
+    foot_a, foot_b = box_footprint(a), box_footprint(b)
+    za0, za1 = a.z_interval
+    zb0, zb1 = b.z_interval
+    overlap_z = min(za1, zb1) - max(za0, zb0)
+    if overlap_z <= 0:
+        return 0.0
+    inter_area = polygon_area(clip_convex(foot_a, foot_b))
+    if inter_area <= 0:
+        return 0.0
+    # Volumes go through the same footprint areas and z intervals as the
+    # intersection, so that identical boxes score exactly 1.0. Capped by both
+    # volumes, which rounding can leave below it, the score stays in [0, 1].
+    vol_a = polygon_area(foot_a) * (za1 - za0)
+    vol_b = polygon_area(foot_b) * (zb1 - zb0)
+    inter = min(inter_area * overlap_z, vol_a, vol_b)
+    return inter / (vol_a + vol_b - inter) if inter > 0 else 0.0
+
+
+def extreme_boxes() -> list[OrientedBox]:
+    """Boxes at the edges of what `OrientedBox` accepts, and boxes within CLIP_EPS of a tilted one.
+
+    Scoring them in numpy overflows, divides by zero or underflows in lanes
+    whose values are not used.
+    """
+    boxes = [
+        OrientedBox((0, 1e308, 500), (100, 100, 100), 0.5),
+        OrientedBox((0, -1e308, 500), (100, 100, 100), 0.5),
+        OrientedBox((0, 0, 0), (10, 10, 10)),
+        OrientedBox((0, 0, 0), (2155, 1e40, 2131), 296),
+        OrientedBox((100, 50, 0), (600, 18, 1000)),
+        OrientedBox((0, 0, 0), (1e200, 1, 1), 45),
+        OrientedBox((0, 0, 0), (1e200, 1, 1), 90),
+        OrientedBox((0, 1e300, 0), (1e10, 1e10, 1e-300), 10),
+        OrientedBox((0, 0, 0), (1e-300, 1e-300, 1e-5), 30),
+        OrientedBox((0, 0, 0), (1e-320, 1e-10, 1e-10), 1e-12),
+        OrientedBox((0, 0, 0), (1e-10, 1e-10, 1e-10), -1e-12),
+        OrientedBox((5e-10, 0, 0), (1e-9, 1e-9, 1e-9)),
+    ]
+    anchor = OrientedBox((1000, 1000, 1000), (300, 200, 100), 7.5)
+    c, s = math.cos(math.radians(7.5)), math.sin(math.radians(7.5))
+    for gap in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9):
+        d = 250 + gap
+        boxes.append(OrientedBox((1000 + c * d, 1000 + s * d, 1000), (200, 200, 100), 7.5))
+        boxes.append(OrientedBox((1000 - s * d, 1000 + c * d, 1000), (300, 300, 100), 7.5 + gap))
+        boxes.append(OrientedBox((1000, 1000, 1100 + gap), (300, 200, 100), 7.5))
+    return boxes + [anchor, OrientedBox(anchor.position, anchor.size, 7.5 + 1e-12)]
 
 
 def box_corners(box: OrientedBox) -> np.ndarray:

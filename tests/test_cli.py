@@ -55,7 +55,7 @@ class TestExitCodes:
     def test_int_beyond_float_range_exits_one(self, model_file, capsys):
         _put_huge_nka(model_file)
         assert run("validate", model_file) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines() if ":error: " in line]
+        errors = [line for line in capsys.readouterr().err.splitlines() if " error: " in line]
         assert len(errors) == 1 and errors[0].endswith("[param-value]")
 
     def test_each_catalog_finding_printed_once(self, model_file, capsys):
@@ -67,8 +67,37 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         codes = [line.rsplit("[", 1)[1] for line in err]
         assert codes.count("param-value]") == 1 and codes.count("unknown-param]") == 1
-        assert any(":error: instance " in line and "[param-value]" in line for line in err)
-        assert any(":warning: instance " in line and "[unknown-param]" in line for line in err)
+        assert any(" error: instance " in line and "[param-value]" in line for line in err)
+        assert any(" warning: instance " in line and "[unknown-param]" in line for line in err)
+
+    def test_python_findings_carry_the_id_span(self, tmp_path, capsys):
+        path = tmp_path / "v.py"
+        path.write_text(
+            "b0 = Box(position=(300, 200, 1000), size=(600, 400, 2000), rotation=0)\n"
+            'm0 = Model(id="M-BB01", box=b0, N=1, NKA=564, DBXX=9, ZZZ=1)\n',
+            encoding="utf-8",
+        )
+        assert run("validate", path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}:2:15: error: instance 0: M-BB01: DBXX=9 is not one of (1, 2, 3) [param-value]",
+            f"{path}:2:15: warning: instance 0: M-BB01: unknown parameter 'ZZZ' [unknown-param]",
+        ]
+
+    def test_yaml_findings_carry_the_id_span(self, tmp_path, catalog, capsys):
+        # Laid out as emitted, so read without the node tree; only validate
+        # finds the box below the floor.
+        model = generate(SynthSpec(seed=5), catalog)
+        text = emit_yaml(model, catalog)
+        entries = text.split("\n- id: ")
+        entries[2] = re.sub(r"position:\n  - [^\n]+\n  - [^\n]+\n  - [^\n]+",
+                            "position:\n  - 500\n  - 500\n  - -5000", entries[2])
+        path = tmp_path / "v.yaml"
+        path.write_text("\n- id: ".join(entries), encoding="utf-8")
+        line = text.splitlines().index(f"- id: {model.instances[1].model_id}", 2) + 1
+        assert run("validate", path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"{path}:{line}:7: error: instance 1: box extends outside")
 
     def test_parse_failure_prints_the_parse_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "broken.py"
@@ -135,6 +164,19 @@ class TestConvert:
         err = capsys.readouterr().err
         assert "error: cannot emit a line break in a Python string: 'M-BB01\\nX'" in err
         assert not out.exists()
+
+    def test_dropped_name_to_python_warns(self, tmp_path, catalog, capsys):
+        model = generate(SynthSpec(seed=5), catalog)
+        source = tmp_path / "model.yaml"
+        text = emit_yaml(model, catalog)
+        source.write_text(text.replace("  name: base box\n", "  name: fid shelf\n", 1), encoding="utf-8")
+        out = tmp_path / "model.py"
+        assert run("convert", source, out, "--to", "python") == 0
+        assert capsys.readouterr().err == (
+            f"{source}:2:7: warning: instance 0: name 'fid shelf' is not kept by the Python "
+            "syntax [name-dropped]\n"
+        )
+        assert out.read_text(encoding="utf-8") == emit_python(model, catalog)
 
     def test_malformed_input_exits_one(self, tmp_path):
         bad = tmp_path / "bad.py"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,16 +24,23 @@ from cabinetkit.geometry import (
     VIEW_KINDS,
     box_bounds,
     box_footprint,
-    clip_convex,
     iou3d,
     merge_segments,
     model_aabb,
     pairwise_iou,
-    polygon_area,
     project_box,
 )
 from cabinetkit.metrics import iou_matrix
-from helpers import aabb_iou_oracle, box_corners, clip_iou, project_box_oracle, random_box
+from helpers import (
+    aabb_iou_oracle,
+    box_corners,
+    clip_convex,
+    clip_iou,
+    extreme_boxes,
+    polygon_area,
+    project_box_oracle,
+    random_box,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -258,6 +266,52 @@ def _right_angle(box):
     return box.rotation_deg % 90.0 == 0.0
 
 
+def _oracle(a, b):
+    """The score `pairwise_iou` must give, bit for bit, from the pairwise references."""
+    if _right_angle(a) and _right_angle(b):
+        with np.errstate(all="ignore"):  # the oracle's own numpy overflows on huge boxes
+            return aabb_iou_oracle(a, b)
+    return clip_iou(a, b)
+
+
+def _oracle_matrix(boxes_a, boxes_b):
+    values = [_oracle(a, b) for a in boxes_a for b in boxes_b]
+    return np.array(values, dtype=float).reshape(len(boxes_a), len(boxes_b))
+
+
+def _rotations():
+    """Any angle, quarter turns, or a quarter turn plus a 1e-12 to 12 degree tilt either way."""
+    tilt = st.floats(-12.0, math.log10(12.0)).map(lambda e: 10.0 ** e)
+    tilted = st.builds(lambda r, t, sign: r + sign * t, st.sampled_from(RIGHT_ANGLES), tilt,
+                       st.sampled_from([-1.0, 1.0]))
+    return st.sampled_from(RIGHT_ANGLES) | st.floats(0.0, 360.0) | tilted
+
+
+@st.composite
+def _iou_sides(draw):
+    """Two sides of boxes at one scale, sizes 1e-3 to 1e4 mm, crowded so that pairs overlap.
+
+    Each side is right-angle, tilted or mixed; side b may add boxes that touch
+    a's first box within CLIP_EPS.
+    """
+    scale = 10.0 ** draw(st.floats(-2.0, 4.0))
+
+    def side():
+        rotations = draw(st.sampled_from([st.sampled_from(RIGHT_ANGLES), _rotations()]))
+        boxes = []
+        for _ in range(draw(st.integers(0, 6))):
+            turn = draw(rotations)
+            position = tuple(scale * draw(st.floats(0.0, 2.0)) for _ in range(3))
+            size = tuple(scale * draw(st.floats(0.1, 1.0)) for _ in range(3))
+            boxes.append(OrientedBox(position, size, turn))
+        return boxes
+
+    boxes_a, boxes_b = side(), side()
+    if boxes_a and draw(st.booleans()):
+        boxes_b += _neighbours(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), boxes_a[0])
+    return boxes_a, boxes_b
+
+
 class TestPairwiseIoU:
     """The batched kernel against iou3d, the AABB oracle and unfiltered clipping."""
 
@@ -324,6 +378,20 @@ class TestPairwiseIoU:
         for position in ((0, 0, 0), (1, 2, 3), (250.5, 100.25, 30), (1000, 2000, 500)):
             b = box(position, (size, 2 * size, 3 * size), rotation)
             assert iou3d(b, b) == 1.0
+
+    @given(_iou_sides())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_scalar_oracle(self, sides):
+        boxes_a, boxes_b = sides
+        assert pairwise_iou(boxes_a, boxes_b).tobytes() == _oracle_matrix(boxes_a, boxes_b).tobytes()
+
+    def test_extreme_boxes_score_without_warnings(self):
+        boxes = extreme_boxes()
+        for side in (boxes, boxes[::-1]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                matrix = pairwise_iou(side, side)
+            assert matrix.tobytes() == _oracle_matrix(side, side).tobytes()
 
 
 class TestProjection:
