@@ -145,25 +145,27 @@ def clip_iou(a: OrientedBox, b: OrientedBox) -> float:
     return inter / (vol_a + vol_b - inter) if inter > 0 else 0.0
 
 
-def extreme_boxes() -> list[OrientedBox]:
-    """Boxes at the edges of what `OrientedBox` accepts, and boxes within CLIP_EPS of a tilted one.
+def domain_corner_boxes() -> list[OrientedBox]:
+    """Boxes at the corners of the box domain, and boxes within CLIP_EPS of a tilted one.
 
-    Scoring them in numpy overflows, divides by zero or underflows in lanes
-    whose values are not used.
+    Positions reach +-1e6 mm and sizes 0.1 and 1e6 mm, turned 0.5 or 45
+    degrees, by quarter turns or by +-1e-12 degrees.
     """
     boxes = [
-        OrientedBox((0, 1e308, 500), (100, 100, 100), 0.5),
-        OrientedBox((0, -1e308, 500), (100, 100, 100), 0.5),
+        OrientedBox((0, 1e6, 500), (100, 100, 100), 0.5),
+        OrientedBox((0, -1e6, 500), (100, 100, 100), 0.5),
         OrientedBox((0, 0, 0), (10, 10, 10)),
-        OrientedBox((0, 0, 0), (2155, 1e40, 2131), 296),
+        OrientedBox((0, 0, 0), (2155, 1e6, 2131), 296),
         OrientedBox((100, 50, 0), (600, 18, 1000)),
-        OrientedBox((0, 0, 0), (1e200, 1, 1), 45),
-        OrientedBox((0, 0, 0), (1e200, 1, 1), 90),
-        OrientedBox((0, 1e300, 0), (1e10, 1e10, 1e-300), 10),
-        OrientedBox((0, 0, 0), (1e-300, 1e-300, 1e-5), 30),
-        OrientedBox((0, 0, 0), (1e-320, 1e-10, 1e-10), 1e-12),
-        OrientedBox((0, 0, 0), (1e-10, 1e-10, 1e-10), -1e-12),
-        OrientedBox((5e-10, 0, 0), (1e-9, 1e-9, 1e-9)),
+        OrientedBox((0, 0, 0), (1e6, 0.1, 0.1), 45),
+        OrientedBox((0, 0, 0), (1e6, 0.1, 0.1), 90),
+        OrientedBox((1e6, -1e6, 1e6), (1e6, 1e6, 1e6), 270),
+        OrientedBox((-1e6, -1e6, -1e6), (1e6, 1e6, 0.1), 45),
+        OrientedBox((1e6, 1e6, 1e6), (0.1, 0.1, 0.1), 0.5),
+        OrientedBox((1e6, 1e6, 1e6), (0.1, 0.2, 0.3), 90),
+        OrientedBox((0, 0, 0), (0.1, 0.1, 0.1), 1e-12),
+        OrientedBox((0, 0, 0), (0.1, 0.1, 0.1), -1e-12),
+        OrientedBox((0.05, 0, 0), (0.1, 0.1, 0.1)),
     ]
     anchor = OrientedBox((1000, 1000, 1000), (300, 200, 100), 7.5)
     c, s = math.cos(math.radians(7.5)), math.sin(math.radians(7.5))

@@ -5,7 +5,8 @@
 bit for bit. Ground truth is a synthesized model, default spec or 40-48
 boxes, and the prediction is its `synth.perturb` degradation. Each side is
 turned as one of the pairs in `TURNS` says, and both sides are scaled by
-each of `SCALES`. Last come `helpers.extreme_boxes()` against themselves,
+each of `SCALES`. Last come `helpers.domain_corner_boxes()` against
+themselves,
 in both orders.
 
 Usage: python3 tests/iou_cases.py --write
@@ -33,7 +34,7 @@ TURNS = (
     ("quarter", "quarter"),
     ("+1e-12", "-1e-12"),
 )
-SCALES = (1e-3, 1.0, 1e4)
+SCALES = (1e-2, 1.0, 1e2)
 
 _PERTURB = dict(pos_sigma_mm=10.0, add_rate=0.1, id_swap_rate=0.1, param_corrupt_rate=0.1)
 
@@ -79,7 +80,7 @@ def case_models(catalog) -> list[tuple[str, int, object, object]]:
 
 def outcomes(catalog) -> list[dict]:
     from cabinetkit.geometry import pairwise_iou
-    from helpers import extreme_boxes
+    from helpers import domain_corner_boxes
 
     records = []
     for name, seed, gt, pred in case_models(catalog):
@@ -92,10 +93,10 @@ def outcomes(catalog) -> list[dict]:
                     "shape": list(iou.shape),
                     "iou": iou.tobytes().hex(),
                 })
-    boxes = extreme_boxes()
+    boxes = domain_corner_boxes()
     for order, side in (("forward", boxes), ("reversed", boxes[::-1])):
         iou = pairwise_iou(side, side)
-        records.append({"case": f"extreme boxes, {order}", "shape": list(iou.shape), "iou": iou.tobytes().hex()})
+        records.append({"case": f"domain corner boxes, {order}", "shape": list(iou.shape), "iou": iou.tobytes().hex()})
     return records
 
 

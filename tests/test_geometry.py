@@ -36,7 +36,7 @@ from helpers import (
     box_corners,
     clip_convex,
     clip_iou,
-    extreme_boxes,
+    domain_corner_boxes,
     polygon_area,
     project_box_oracle,
     random_box,
@@ -289,12 +289,12 @@ def _rotations():
 
 @st.composite
 def _iou_sides(draw):
-    """Two sides of boxes at one scale, sizes 1e-3 to 1e4 mm, crowded so that pairs overlap.
+    """Two sides of boxes at one scale, sizes 0.1 to 1e5 mm, crowded so that pairs overlap.
 
     Each side is right-angle, tilted or mixed; side b may add boxes that touch
     a's first box within CLIP_EPS.
     """
-    scale = 10.0 ** draw(st.floats(-2.0, 4.0))
+    scale = 10.0 ** draw(st.floats(0.0, 5.0))
 
     def side():
         rotations = draw(st.sampled_from([st.sampled_from(RIGHT_ANGLES), _rotations()]))
@@ -339,9 +339,9 @@ class TestPairwiseIoU:
         # xy AABBs are (barely) apart, and the prefilter must let it through.
         rng = np.random.default_rng(11)
         for _ in range(500):
-            a = box((1000, 1000, 1000), rng.uniform(1, 800, 3) * 10.0 ** rng.uniform(-3, 0),
+            a = box((1000, 1000, 1000), rng.uniform(1, 800, 3) * 10.0 ** rng.uniform(-1, 0),
                     float(rng.choice([0.0, 90.0])))
-            size = rng.uniform(1, 800, 3) * 10.0 ** rng.uniform(-3, 0)
+            size = rng.uniform(1, 800, 3) * 10.0 ** rng.uniform(-1, 0)
             tilt = 10.0 ** rng.uniform(-12, -2) * rng.choice([-1, 1])
             lo_a, hi_a = box_corners(a).min(axis=0), box_corners(a).max(axis=0)
             b = box((0, 0, 1000), size, tilt)
@@ -386,7 +386,7 @@ class TestPairwiseIoU:
         assert pairwise_iou(boxes_a, boxes_b).tobytes() == _oracle_matrix(boxes_a, boxes_b).tobytes()
 
     def test_extreme_boxes_score_without_warnings(self):
-        boxes = extreme_boxes()
+        boxes = domain_corner_boxes()
         for side in (boxes, boxes[::-1]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -477,9 +477,9 @@ SMALL_TILTS = st.floats(1.0, 12.0) | st.floats(-12.0, -1.0)  # as in eval-dense-
 
 
 @st.composite
-def bounded_boxes(draw, positions=st.floats(-1e7, 1e7)):
-    """Boxes at quarter turns, small tilts and any angle, from tiny to large."""
-    size = st.floats(1e-9, 1e-3) | st.floats(1e-3, 1e4) | st.floats(1e4, 1e7)
+def bounded_boxes(draw, positions=st.floats(-1e6, 1e6)):
+    """Boxes of the domain at quarter turns, small tilts and any angle, from smallest to largest."""
+    size = st.floats(0.1, 1.0) | st.floats(1.0, 1e4) | st.floats(1e4, 1e6)
     rotation = draw(QUARTER_TURNS | SMALL_TILTS | st.floats(-720.0, 720.0))
     return OrientedBox(
         (draw(positions), draw(positions), draw(positions)),
