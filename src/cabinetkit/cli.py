@@ -30,16 +30,22 @@ def _resolve_catalog(path: str | None) -> PrimitiveCatalog:
     return load_catalog(Path(path).read_text(encoding="utf-8"))
 
 
-def _detect_format(path: Path, forced: str) -> str:
-    if forced != "auto":
-        return forced
+def _detect_format(path: Path) -> str:
+    """The syntax of a program file: by its suffix, else by its first line.
+
+    A file that is neither `.py` nor `.yaml`/`.yml` is YAML when its first
+    line that is not blank or a `#` comment starts with `cabinet:`.
+    """
     suffix = path.suffix.lower()
     if suffix == ".py":
         return "python"
     if suffix in (".yaml", ".yml"):
         return "yaml"
-    head = path.read_text(encoding="utf-8", errors="replace").lstrip()
-    return "yaml" if head.startswith("cabinet:") else "python"
+    for line in path.read_text(encoding="utf-8", errors="replace").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            return "yaml" if line.startswith("cabinet:") else "python"
+    return "python"
 
 
 def _print_diagnostics(diags, prefix: str = "") -> None:
@@ -50,7 +56,7 @@ def _print_diagnostics(diags, prefix: str = "") -> None:
 def cmd_validate(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     path = Path(args.path)
-    fmt = _detect_format(path, args.format)
+    fmt = _detect_format(path)
     result = corpus.parse_file(path, fmt, catalog)
     # A parsed model's findings come from `program.validate`, which repeats
     # the parser's catalog checks with their real severity and instance.
@@ -67,7 +73,7 @@ def cmd_validate(args) -> int:
 def cmd_convert(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     in_path = Path(args.input)
-    fmt = _detect_format(in_path, args.format)
+    fmt = _detect_format(in_path)
     result = corpus.parse_file(in_path, fmt, catalog)
     _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
     if result.model is None:
@@ -107,7 +113,7 @@ def _dropped_names(result: program.ParseResult, catalog: PrimitiveCatalog) -> li
 def cmd_render(args) -> int:
     catalog = _resolve_catalog(args.catalog)
     in_path = Path(args.input)
-    fmt = _detect_format(in_path, args.format)
+    fmt = _detect_format(in_path)
     result = corpus.parse_file(in_path, fmt, catalog)
     _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
     if result.model is None:
@@ -245,14 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     add_catalog(p)
     p.add_argument("--filters", action="store_true", help="apply the dataset filters")
-    p.add_argument("--format", choices=("python", "yaml", "auto"), default="auto")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("convert", help="convert between syntaxes or to command sequences")
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--to", choices=("python", "yaml", "commands"), required=True)
-    p.add_argument("--format", choices=("python", "yaml", "auto"), default="auto")
     add_catalog(p)
     p.set_defaults(func=cmd_convert)
 
@@ -267,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-drop", type=float, default=0.0)
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--p-spurious", type=float, default=0.0)
-    p.add_argument("--format", choices=("python", "yaml", "auto"), default="auto")
     add_catalog(p)
     p.set_defaults(func=cmd_render)
 

@@ -9,7 +9,10 @@ pairs at once, as padded numpy arrays (`_clip_areas`), in the float
 operation order of the per-pair Sutherland-Hodgman loop that the tests keep
 as its reference, so its scores equal that loop's bit for bit.
 
-All lengths are millimeters.
+All lengths are millimeters. `OrientedBox` admits one domain, positions
+within +-1e6 mm and sizes from 0.1 to 1e6 mm, and the code here relies on
+it: no extent, volume or gap overflows, and a box scores exactly 1.0
+against itself.
 """
 
 from __future__ import annotations
@@ -29,6 +32,20 @@ CLIP_EPS = 1e-9
 
 #: Numerical slack allowed when checking the first-octant placement rule.
 OCTANT_EPS = 1e-6
+
+#: The box domain, in millimeters: every position component lies in
+#: [-MAX_MM, MAX_MM] and every size component in [MIN_SIZE_MM, MAX_MM]. At
+#: 1e6 mm a coordinate's ulp (1.2e-10 mm) is still below CLIP_EPS. Under
+#: 0.1 mm, a tilted box far from the origin can score below 1.0 against
+#: itself, because its footprint's shoelace sum cancels.
+MAX_MM = 1e6
+MIN_SIZE_MM = 0.1
+
+#: How far apart in x or y two footprints' bounds can be and still clip to
+#: an area. Clipping keeps vertices up to CLIP_EPS / |edge| outside each edge
+#: of the clip polygon, at most 2 * CLIP_EPS / |edge| past its bounds; this
+#: doubles that for the shortest edge the domain allows and adds CLIP_EPS.
+_REACH_MM = CLIP_EPS + 4.0 * CLIP_EPS / MIN_SIZE_MM
 
 Point2 = tuple[float, float]
 Segment = tuple[Point2, Point2]
@@ -57,13 +74,22 @@ class BoxError(ValueError):
         self.argument = argument  # "position", "size" or "rotation"
 
 
+_DOMAIN_ERRORS = {
+    "position": f"position out of domain: each component must lie in [{-MAX_MM:g}, {MAX_MM:g}] mm",
+    "size": f"size out of domain: each component must lie in [{MIN_SIZE_MM:g}, {MAX_MM:g}] mm",
+    "rotation": "rotation must be finite",
+}
+
+
 @dataclass(frozen=True)
 class OrientedBox:
     """A 3D box: center position, extents, and rotation about the z axis.
 
-    Sizes must be strictly positive and finite, and so must their product
-    (the volume, which every IoU divides by); the rotation angle is
-    canonicalized into [0, 360) degrees on construction.
+    A box lies in one domain, checked here and nowhere downstream: each
+    position component within +-MAX_MM (1e6 mm), each size component from
+    MIN_SIZE_MM (0.1 mm) to MAX_MM, and a finite rotation, which is
+    canonicalized into [0, 360) degrees. Anything else raises `BoxError`
+    naming the argument at fault.
     """
 
     position: tuple[float, float, float]
@@ -71,21 +97,29 @@ class OrientedBox:
     rotation_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        position = tuple(float(c) for c in self.position)
-        size = tuple(float(c) for c in self.size)
+        argument = "position"
+        try:
+            position = tuple(map(float, self.position))
+            argument = "size"
+            size = tuple(map(float, self.size))
+            argument = "rotation"
+            rotation = float(self.rotation_deg)
+        except OverflowError:  # an integer beyond the float range
+            raise BoxError(_DOMAIN_ERRORS[argument], argument) from None
         if len(position) != 3 or len(size) != 3:
             argument = "position" if len(position) != 3 else "size"
             raise BoxError("position and size must be 3-vectors", argument)
-        if not all(math.isfinite(c) for c in position + size):
-            argument = "size" if all(math.isfinite(c) for c in position) else "position"
-            raise BoxError("box coordinates must be finite", argument)
-        if not all(c > 0 for c in size):
-            raise BoxError(f"box size components must be positive, got {size}", "size")
-        if not math.isfinite(size[0] * size[1] * size[2]):
-            raise BoxError("box volume must be finite", "size")
-        rotation = float(self.rotation_deg)
+        # Chained comparisons are false for NaN, so they reject it with inf.
+        px, py, pz = position
+        if not (-MAX_MM <= px <= MAX_MM and -MAX_MM <= py <= MAX_MM and -MAX_MM <= pz <= MAX_MM):
+            raise BoxError(_DOMAIN_ERRORS["position"], "position")
+        sx, sy, sz = size
+        if not (
+            MIN_SIZE_MM <= sx <= MAX_MM and MIN_SIZE_MM <= sy <= MAX_MM and MIN_SIZE_MM <= sz <= MAX_MM
+        ):
+            raise BoxError(_DOMAIN_ERRORS["size"], "size")
         if not math.isfinite(rotation):
-            raise BoxError("rotation must be finite", "rotation")
+            raise BoxError(_DOMAIN_ERRORS["rotation"], "rotation")
         rotation = rotation % 360.0
         if rotation >= 360.0:  # float modulo can round up to the divisor
             rotation = 0.0
@@ -142,7 +176,8 @@ def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox])
     a call's pairs are clipped at once (`_clip_areas`). Each box's footprint,
     footprint area and z interval are worked out once per call. Pairs that
     only touch (zero-volume intersection) score 0, exactly so when both boxes
-    are at right angles or the touch is in z.
+    are at right angles or the touch is in z. Every score is finite because
+    every box lies in the `OrientedBox` domain.
     """
     iou = np.zeros((len(boxes_a), len(boxes_b)))
     if iou.size == 0:
@@ -150,37 +185,28 @@ def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox])
     lo_a, hi_a, right_a, feet_a = _bounds(boxes_a)
     lo_b, hi_b, right_b, feet_b = _bounds(boxes_b)
     # Every pair takes the AABB arithmetic, and only right-angle pairs that
-    # overlap keep it. The others can overflow (huge or far-apart boxes), and
-    # a gap wider than the largest float is -inf: those lanes are discarded.
-    with np.errstate(over="ignore", invalid="ignore"):
-        overlap = np.minimum(hi_a[:, None], hi_b[None]) - np.maximum(lo_a[:, None], lo_b[None])
-        ox, oy, oz = overlap[..., 0], overlap[..., 1], overlap[..., 2]
-        ext_a, ext_b = hi_a - lo_a, hi_b - lo_b
-        vol_a = ext_a[:, 0] * ext_a[:, 1] * ext_a[:, 2]
-        vol_b = ext_b[:, 0] * ext_b[:, 1] * ext_b[:, 2]
-        inter = ox * oy * oz
-        right = right_a[:, None] & right_b[None]
-        product = (ox > 0) & (oy > 0) & (oz > 0) & right
-        np.divide(inter, (vol_a[:, None] + vol_b[None]) - inter, out=iou, where=product)
+    # overlap keep it.
+    overlap = np.minimum(hi_a[:, None], hi_b[None]) - np.maximum(lo_a[:, None], lo_b[None])
+    ox, oy, oz = overlap[..., 0], overlap[..., 1], overlap[..., 2]
+    ext_a, ext_b = hi_a - lo_a, hi_b - lo_b
+    vol_a = ext_a[:, 0] * ext_a[:, 1] * ext_a[:, 2]
+    vol_b = ext_b[:, 0] * ext_b[:, 1] * ext_b[:, 2]
+    inter = ox * oy * oz
+    right = right_a[:, None] & right_b[None]
+    product = (ox > 0) & (oy > 0) & (oz > 0) & right
+    np.divide(inter, (vol_a[:, None] + vol_b[None]) - inter, out=iou, where=product)
     if right.all():
         return iou
 
-    # Clipping keeps vertices up to CLIP_EPS / |edge| outside each edge of
-    # the clip polygon, at most 2 * CLIP_EPS / |edge| past its AABB. `reach`
-    # doubles that and adds CLIP_EPS: pairs apart in x or y by more clip to
-    # nothing. A sub-1e-300 mm edge reaches everywhere (inf).
-    edge_a = np.array([min(box.size[0], box.size[1]) for box in boxes_a])
-    edge_b = np.array([min(box.size[0], box.size[1]) for box in boxes_b])
-    with np.errstate(over="ignore"):
-        reach = CLIP_EPS + 4.0 * CLIP_EPS / np.minimum(edge_a[:, None], edge_b[None])
-    rows, cols = np.nonzero(~right & (oz > 0) & (ox > -reach) & (oy > -reach))
+    # Pairs apart in x or y by more than clipping can bridge clip to nothing.
+    rows, cols = np.nonzero(~right & (oz > 0) & (ox > -_REACH_MM) & (oy > -_REACH_MM))
     if rows.size == 0:
         return iou
     _add_right_angle_footprints(feet_a, boxes_a, right_a, rows)
     _add_right_angle_footprints(feet_b, boxes_b, right_b, cols)
-    # The scalar rule is Python float arithmetic, which overflows to inf and
-    # makes NaN without a word: so does this, for the same huge boxes.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Lanes whose crossing is inf or NaN (an edge not crossed) are multiplied
+    # before `_clip_areas` drops them.
+    with np.errstate(invalid="ignore"):
         area_a = _ring_area(feet_a[..., 0], feet_a[..., 1], np.full(len(feet_a), 4))
         area_b = _ring_area(feet_b[..., 0], feet_b[..., 1], np.full(len(feet_b), 4))
         inter_area = _clip_areas(feet_a[rows], feet_b[cols])

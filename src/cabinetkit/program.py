@@ -277,12 +277,12 @@ class _PyParser:
         self.pos += 1
         return _number_value(token), token
 
-    def vector3(self, what: str) -> tuple[tuple[float, float, float], _Token]:
+    def vector3(self, what: str) -> tuple[tuple[float | int, float | int, float | int], _Token]:
         open_token = self.expect_op("(")
-        values: list[float] = []
+        values: list[float | int] = []
         while True:
             value, _ = self.number(what)
-            values.append(_to_float(value))
+            values.append(value)
             if not self.accept_op(","):
                 break
         close = self.expect_op(")")
@@ -373,7 +373,7 @@ def _parse_primitive(
         box = OrientedBox(
             position=fields["position"][0],
             size=fields["size"][0],
-            rotation_deg=_to_float(fields["rotation"][0]),
+            rotation_deg=fields["rotation"][0],
         )
     except BoxError as exc:
         raise _SyntaxError(str(exc), fields[exc.argument][1]) from None
@@ -579,9 +579,7 @@ def _read_emitted_yaml(text: str, catalog: PrimitiveCatalog) -> CabinetModel | N
         pos = entry.end()
         model_id, name, *numbers, params_block = entry.groups()
         try:
-            px, py, pz, sx, sy, sz, rotation = [
-                _to_float(ryaml.read_number(number)) for number in numbers
-            ]
+            px, py, pz, sx, sy, sz, rotation = [ryaml.read_number(number) for number in numbers]
             box = OrientedBox(position=(px, py, pz), size=(sx, sy, sz), rotation_deg=rotation)
         except ValueError:  # a literal out of range, or a BoxError
             return None
@@ -688,7 +686,7 @@ def _instance_from_yaml(
         diags.append(error("syntax", "'rotation' must be a number", _span_of(rotation_node)))
         ok = False
     else:
-        rotation = _to_float(rotation_node.value)
+        rotation = rotation_node.value
 
     params: dict[str, ParamValue] = {}
     raw_params: dict[str, str] = {}
@@ -738,7 +736,7 @@ def _instance_from_yaml(
 
 def _vector_from_yaml(
     entry: ryaml.MapNode, key: str, diags: list[Diagnostic]
-) -> tuple[float, float, float] | None:
+) -> tuple[float | int, float | int, float | int] | None:
     node = entry.get(key)
     if node is None:
         diags.append(error("syntax", f"cabinet entry requires {key!r}", _span_of(entry)))
@@ -746,12 +744,12 @@ def _vector_from_yaml(
     if not isinstance(node, ryaml.SeqNode):
         diags.append(error("syntax", f"{key!r} must be a 3-sequence", _span_of(node)))
         return None
-    values: list[float] = []
+    values: list[float | int] = []
     for item in node.items:
         if not isinstance(item, ryaml.ScalarNode) or isinstance(item.value, str):
             diags.append(error("syntax", f"{key!r} components must be numbers", _span_of(item)))
             return None
-        values.append(_to_float(item.value))
+        values.append(item.value)
     if len(values) != 3:
         diags.append(
             error("syntax", f"{key!r} must have exactly 3 components, got {len(values)}", _span_of(node))

@@ -124,6 +124,16 @@ class TestExitCodes:
         assert "filter-count" in capsys.readouterr().err
         assert run("validate", path) == 0  # filters off
 
+    @pytest.mark.parametrize("command, outputs", [
+        ("validate", []),
+        ("convert", ["out.yaml", "--to", "yaml"]),
+        ("render", ["out.svg"]),
+    ])
+    def test_input_format_option_is_gone(self, command, outputs, model_file):
+        with pytest.raises(SystemExit) as err:
+            run(command, model_file, *outputs, "--format", "python")
+        assert err.value.code == 2
+
     def test_missing_file_exits_two(self, tmp_path):
         assert run("validate", tmp_path / "nope.py") == 2
 
@@ -399,6 +409,68 @@ class TestEval:
         with pytest.raises(SystemExit) as err:
             run("eval", "--pred", corpus_dir, "--gt", corpus_dir, "--jobs", 2)
         assert err.value.code == 2
+
+
+class TestFormatDetection:
+    """A program's syntax comes from its suffix, else from its first line of content."""
+
+    @pytest.mark.parametrize("head", ["# a comment\n", "\n  \n# one\n  # two\n\n"])
+    def test_leading_comments_and_blank_lines_are_skipped(self, head, tmp_path, catalog, capsys):
+        model = generate(SynthSpec(seed=5), catalog)
+        yaml_path, python_path = tmp_path / "m.txt", tmp_path / "p.txt"
+        yaml_path.write_text(head + emit_yaml(model, catalog), encoding="utf-8")
+        python_path.write_text(head + emit_python(model, catalog), encoding="utf-8")
+        for path in (yaml_path, python_path):
+            assert run("validate", path, "--filters") == 0
+            assert run("render", path, tmp_path / "out.svg") == 0
+            assert run("convert", path, tmp_path / "out.yaml", "--to", "yaml") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_file_of_comments_reads_as_python(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("# cabinet:\n", encoding="utf-8")
+        assert run("validate", path) == 1
+        assert capsys.readouterr().err == f"{path}:error: program defines no primitives [empty]\n"
+
+
+def _box_texts(position, size):
+    """One `M-SIDE` box in both syntaxes: (suffix, text, offset of each argument's value)."""
+    python = f"b0 = Box(position=({position}), size=({size}), rotation=0.5)\n" 'm0 = Model(id="M-SIDE", box=b0)\n'
+    yaml = f"cabinet:\n- id: M-SIDE\n  position: [{position}]\n  size: [{size}]\n  rotation: 0.5\n"
+    return [
+        (".py", python, {"position": python.index("position=") + 9, "size": python.index("size=") + 5}),
+        (".yaml", yaml, {"position": yaml.index("position: ") + 10, "size": yaml.index("size: ") + 6}),
+    ]
+
+
+class TestBoxDomain:
+    """Boxes outside the domain are a syntax error at their argument, never a traceback."""
+
+    TALL = "1" + "0" * 40  # 1e40 mm
+    DEEP = "1" + "0" * 300  # 1e300 mm
+    FAR = "1" + "0" * 20  # 1e20 mm
+    FARTHEST = "1" + "0" * 308  # 1e308 mm
+
+    @pytest.mark.parametrize("command", ["validate", "render"])
+    @pytest.mark.parametrize("position, size, argument", [
+        ("9, 300, 900", f"18, 600, {TALL}", "size"),
+        ("9, 300, 900", f"18, {DEEP}, 1800", "size"),
+        (f"{FAR}, 300, 900", "18, 400, 2000", "position"),
+        (f"9, {FARTHEST}, 900", "18, 400, 2000", "position"),
+    ], ids=["1e40-tall", "1e300-deep", "x-1e20", "y-1e308"])
+    def test_out_of_domain_box_exits_one_at_its_argument(self, command, position, size, argument,
+                                                         tmp_path, capsys):
+        for suffix, text, offsets in _box_texts(position, size):
+            path = tmp_path / f"m{suffix}"
+            path.write_text(text, encoding="utf-8")
+            args = [path] if command == "validate" else [path, tmp_path / "out.svg"]
+            assert run(command, *args) == 1
+            offset = offsets[argument]
+            line = text.count("\n", 0, offset) + 1
+            column = offset - (text.rfind("\n", 0, offset) + 1) + 1
+            [message] = capsys.readouterr().err.splitlines()
+            assert message.startswith(f"{path}:{line}:{column}: error: {argument} out of domain")
+            assert message.endswith("[syntax]")
 
 
 class TestCatalogFlag:

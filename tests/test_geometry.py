@@ -20,7 +20,10 @@ from cabinetkit import (
 from cabinetkit import drawing, geometry
 from cabinetkit.geometry import (
     CLIP_EPS,
+    MAX_MM,
+    MIN_SIZE_MM,
     OCTANT_EPS,
+    BoxError,
     VIEW_KINDS,
     box_bounds,
     box_footprint,
@@ -80,9 +83,51 @@ class TestOrientedBox:
             box((0, 0, 0), (math.inf, 1, 1))
 
     def test_overflowing_volume_rejected(self):
-        with pytest.raises(ValueError, match="volume"):
+        with pytest.raises(BoxError, match="size out of domain"):
             box((0, 0, 0), (1e120, 1e120, 1e120))
-        assert box((0, 0, 0), (1e100, 1e100, 1e100)).volume == pytest.approx(1e300)
+        assert box((0, 0, 0), (MAX_MM, MAX_MM, MAX_MM)).volume == 1e18
+
+    def test_domain_bounds_are_accepted(self):
+        for position in (-MAX_MM, 0.0, MAX_MM):
+            for size in (MIN_SIZE_MM, MAX_MM):
+                b = box((position, -position, position), (size, size, size), -1e-12)
+                assert b.position == (position, -position, position)
+                assert b.size == (size, size, size)
+
+    @pytest.mark.parametrize("argument, value", [
+        ("position", -math.nextafter(MAX_MM, math.inf)),
+        ("position", math.nextafter(MAX_MM, math.inf)),
+        ("position", math.inf),
+        ("position", math.nan),
+        ("position", 10 ** 400),
+        ("size", math.nextafter(MIN_SIZE_MM, 0.0)),
+        ("size", 0.0999),
+        ("size", 0.0),
+        ("size", -1.0),
+        ("size", math.nextafter(MAX_MM, math.inf)),
+        ("size", math.inf),
+        ("size", math.nan),
+        ("size", 10 ** 400),
+    ])
+    @pytest.mark.parametrize("component", [0, 1, 2])
+    def test_values_outside_the_domain_name_their_argument(self, argument, value, component):
+        vectors = {"position": [1.0, 2.0, 3.0], "size": [4.0, 5.0, 6.0]}
+        vectors[argument][component] = value
+        with pytest.raises(BoxError, match=f"^{argument} out of domain") as err:
+            box(vectors["position"], vectors["size"], 7.5)
+        assert err.value.argument == argument
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -10 ** 400])
+    def test_non_finite_rotation_names_its_argument(self, value):
+        with pytest.raises(BoxError, match="rotation must be finite") as err:
+            box((1, 2, 3), (4, 5, 6), value)
+        assert err.value.argument == "rotation"
+
+    def test_overflowing_bounds_box_is_rejected(self):
+        # Its center plus half its size passes the largest float.
+        with pytest.raises(BoxError) as err:
+            box((1.7e308, 0, 0), (1e308, 1, 1))
+        assert err.value.argument == "position"
 
     @given(boxes())
     def test_rotation_always_in_range(self, b):
@@ -210,11 +255,15 @@ class TestIoU:
         assert matrix[0, 0] == matrix[1, 1] == 1.0
 
     def test_huge_tilted_footprint_scores_zero_both_ways(self):
-        # The 1e40 mm footprint's area rounds to 0, so the union used to be 0.
-        door = box((0, 0, 0), (2155, 1e40, 2131), 296)
+        # A 1e40 mm footprint's area rounded to 0, so the union was 0: such a
+        # door is outside the domain now, and the longest door inside it is
+        # scored the same both ways.
+        with pytest.raises(BoxError, match="size out of domain"):
+            box((0, 0, 0), (2155, 1e40, 2131), 296)
+        door = box((0, 0, 0), (2155, MAX_MM, 2131), 296)
         side = box((100, 50, 0), (600, 18, 1000))
-        assert iou3d(door, side) == 0.0
-        assert iou3d(side, door) == 0.0
+        assert 0.0 < iou3d(door, side) == iou3d(side, door) < 1e-5
+        assert iou3d(door, box((1e6, 50, 0), (600, 18, 1000))) == 0.0
 
     def test_result_in_unit_interval(self):
         rng = np.random.default_rng(123)
@@ -312,6 +361,40 @@ def _iou_sides(draw):
     return boxes_a, boxes_b
 
 
+DOMAIN_POSITIONS = st.sampled_from([-MAX_MM, 0.0, MAX_MM]) | st.floats(-MAX_MM, MAX_MM)
+DOMAIN_SIZES = st.sampled_from([MIN_SIZE_MM, MAX_MM]) | st.floats(-1.0, 6.0).map(
+    lambda e: min(max(10.0 ** e, MIN_SIZE_MM), MAX_MM)
+)
+
+
+@st.composite
+def _domain_corner_side(draw):
+    """Boxes at the corners of the domain and inside it, then boxes within CLIP_EPS of the first.
+
+    A neighbour sits beside the first box along one of its axes, either
+    way, GAPS_MM apart; one that would leave the domain is not drawn.
+    """
+    def sizes():
+        return tuple(draw(DOMAIN_SIZES) for _ in range(3))
+
+    boxes = [
+        OrientedBox(tuple(draw(DOMAIN_POSITIONS) for _ in range(3)), sizes(), draw(_rotations()))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    anchor = boxes[0]
+    for _ in range(draw(st.integers(0, 4))):
+        size = sizes()
+        axis = draw(st.integers(0, 2))
+        d = (anchor.size[axis] + size[axis]) / 2.0 + draw(st.sampled_from(GAPS_MM))
+        d *= draw(st.sampled_from([-1.0, 1.0]))
+        ux, uy = _axes(anchor.rotation_deg)[axis] if axis < 2 else (0.0, 0.0)
+        offset = (ux * d, uy * d, d if axis == 2 else 0.0)
+        position = tuple(p + o for p, o in zip(anchor.position, offset))
+        if max(map(abs, position)) <= MAX_MM:
+            boxes.append(OrientedBox(position, size, anchor.rotation_deg))
+    return boxes
+
+
 class TestPairwiseIoU:
     """The batched kernel against iou3d, the AABB oracle and unfiltered clipping."""
 
@@ -374,9 +457,14 @@ class TestPairwiseIoU:
     @pytest.mark.parametrize("size", [1e-10, 1e-4])
     @pytest.mark.parametrize("rotation", RIGHT_ANGLES)
     def test_tiny_right_angle_box_self_iou_is_one(self, size, rotation):
-        # Clipping scored these 0.0 (1e-10 mm) and up to 1.00000000026 (1e-4 mm).
-        for position in ((0, 0, 0), (1, 2, 3), (250.5, 100.25, 30), (1000, 2000, 500)):
-            b = box(position, (size, 2 * size, 3 * size), rotation)
+        # Clipping scored boxes this small 0.0 (1e-10 mm) and up to
+        # 1.00000000026 (1e-4 mm). They are outside the domain now, and the
+        # smallest box inside it scores exactly 1.0 wherever it lies.
+        for position in ((0, 0, 0), (1, 2, 3), (250.5, 100.25, 30), (1000, 2000, 500),
+                         (MAX_MM, -MAX_MM, MAX_MM)):
+            with pytest.raises(BoxError, match="size out of domain"):
+                box(position, (size, 2 * size, 3 * size), rotation)
+            b = box(position, (MIN_SIZE_MM, 2 * MIN_SIZE_MM, 3 * MIN_SIZE_MM), rotation)
             assert iou3d(b, b) == 1.0
 
     @given(_iou_sides())
@@ -391,6 +479,17 @@ class TestPairwiseIoU:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 matrix = pairwise_iou(side, side)
+            assert matrix.tobytes() == _oracle_matrix(side, side).tobytes()
+
+    @given(_domain_corner_side())
+    @settings(max_examples=200, deadline=None)
+    def test_domain_corners_score_in_unit_interval_without_warnings(self, boxes):
+        for side in (boxes, boxes[::-1]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                matrix = pairwise_iou(side, side)
+            assert ((matrix >= 0.0) & (matrix <= 1.0)).all()  # False for NaN
+            assert (np.diag(matrix) == 1.0).all()
             assert matrix.tobytes() == _oracle_matrix(side, side).tobytes()
 
 
@@ -477,9 +576,9 @@ SMALL_TILTS = st.floats(1.0, 12.0) | st.floats(-12.0, -1.0)  # as in eval-dense-
 
 
 @st.composite
-def bounded_boxes(draw, positions=st.floats(-1e6, 1e6)):
+def bounded_boxes(draw, positions=st.floats(-MAX_MM, MAX_MM)):
     """Boxes of the domain at quarter turns, small tilts and any angle, from smallest to largest."""
-    size = st.floats(0.1, 1.0) | st.floats(1.0, 1e4) | st.floats(1e4, 1e6)
+    size = st.floats(MIN_SIZE_MM, 1.0) | st.floats(1.0, 1e4) | st.floats(1e4, MAX_MM)
     rotation = draw(QUARTER_TURNS | SMALL_TILTS | st.floats(-720.0, 720.0))
     return OrientedBox(
         (draw(positions), draw(positions), draw(positions)),
@@ -545,14 +644,6 @@ def _segment_bits(segments):
     return np.array(segments, dtype=float).reshape(-1, 4).tobytes()
 
 
-def _wide_footprint(b):
-    return min(b.size[0], b.size[1]) > 2 * CLIP_EPS
-
-
-def _footprint_over_1e5(b):
-    return min(b.size[0], b.size[1]) >= 1e-5
-
-
 def _turned(model, rng, turn):
     """The model with every box turned about its center by `turn(rng)` degrees."""
     return CabinetModel(tuple(
@@ -574,7 +665,7 @@ TURNS = {
 class TestProjectionOracle:
     """`project_box` against projecting all 12 box edges (`project_box_oracle`)."""
 
-    @given(bounded_boxes().filter(_wide_footprint))
+    @given(bounded_boxes())
     @settings(max_examples=500, deadline=None)
     def test_equals_twelve_edge_projection_bit_for_bit(self, b):
         for view in VIEW_KINDS:
@@ -584,7 +675,7 @@ class TestProjectionOracle:
     @given(
         st.integers(0, 10_000),
         st.sampled_from(sorted(TURNS)),
-        st.none() | st.lists(bounded_boxes().filter(_footprint_over_1e5), min_size=1, max_size=8),
+        st.none() | st.lists(bounded_boxes(), min_size=1, max_size=8),
     )
     @settings(max_examples=80, deadline=None)
     def test_render_views_matches_twelve_edge_projection(self, catalog, seed, turn, boxes):
@@ -600,27 +691,3 @@ class TestProjectionOracle:
         assert [v.kind for v in views] == [v.kind for v in reference]
         for view, ref in zip(views, reference):
             assert _segment_bits(view.segments) == _segment_bits(ref.segments)
-
-    def test_sub_nanometre_tilted_footprint_keeps_its_horizontals(self, catalog):
-        # Both footprint sides are under sqrt(2) * CLIP_EPS, so at 45 degrees
-        # no single edge projects longer than CLIP_EPS and the 12-edge
-        # wireframe loses its horizontals. The footprint's span across the
-        # view is still longer than CLIP_EPS, and project_box draws it.
-        b = box((100, 200, 800), (1.26e-9, 7.2e-10, 1545), 45)
-        z0, z1 = b.z_interval
-        xs = [x for x, _ in box_footprint(b)]
-        assert max(xs) - min(xs) > CLIP_EPS
-        front = merge_segments(project_box(b, "front"))
-        horizontals = [((min(xs), z), (max(xs), z)) for z in (z0, z1)]
-        assert sorted(front) == sorted(project_box_oracle(b, "front") + horizontals)
-        assert merge_segments(project_box(b, "top")) == project_box_oracle(b, "top")
-        # Under about 1e-6 mm on both footprint sides, one merge per view is
-        # the rule: a one-box drawing is the box's wireframe merged once.
-        for view in render_views(_model(catalog, [b]), list(VIEW_KINDS)):
-            assert _segment_bits(view.segments) == _segment_bits(merge_segments(project_box(b, view.kind)))
-        # Here a second merge would join the top view's two segments into one.
-        tiny = box((226, 125, 288), (2.5960572857776133e-07, 2.4243403838025063e-07, 1776), 45)
-        footprint = box_footprint(tiny)
-        top = render_views(_model(catalog, [tiny]), ["top"])[0]
-        assert top.segments == merge_segments(zip(footprint, footprint[1:] + footprint[:1]))
-        assert len(top.segments) == 2

@@ -484,21 +484,24 @@ class TestTotality:
         assert not result.ok
 
     HUGE = "9" * 400  # an integer that converts to an infinite float
-    BIG = "1" + "0" * 200  # finite, but a box with two such sizes is not
+    BIG = "1" + "0" * 200  # finite, but far outside the box domain
+    JUST_OVER = "1000000.0000000001"  # the float after the domain's 1e6 mm bound
+    POSITION = "position out of domain: each component must lie in [-1e+06, 1e+06] mm"
+    SIZE = "size out of domain: each component must lie in [0.1, 1e+06] mm"
 
     @pytest.mark.parametrize(
         "box_args, argument, message",
         [
             (f"position=({HUGE}, 1, 1), size=(1, 1, 1), rotation=0",
-             "position=", "box coordinates must be finite"),
+             "position=", POSITION),
             (f"rotation=0, size=(1, 1, 1), position=(1, {HUGE}, 1)",
-             "position=", "box coordinates must be finite"),
+             "position=", POSITION),
             (f"position=(1, 1, 1), size=(1, 1, {HUGE}), rotation=0",
-             "size=", "box coordinates must be finite"),
+             "size=", SIZE),
             ("size=(1, 0, 1), position=(1, 1, 1), rotation=0",
-             "size=", "box size components must be positive, got (1.0, 0.0, 1.0)"),
+             "size=", SIZE),
             (f"position=(1, 1, 1), size=({BIG}, {BIG}, 1), rotation=0",
-             "size=", "box volume must be finite"),
+             "size=", SIZE),
             (f"position=(1, 1, 1), size=(1, 1, 1), rotation={HUGE}",
              "rotation=", "rotation must be finite"),
             (f"rotation={HUGE}, position=(1, 1, 1), size=(1, 1, 1)",
@@ -506,15 +509,24 @@ class TestTotality:
             # YAML entries: "key: " is the argument, and the span starts
             # at the node after it (a flow "[", a block "-" or the number).
             (f"position: [{HUGE}, 1, 1]\n  size: [1, 1, 1]\n  rotation: 0",
-             "position: ", "box coordinates must be finite"),
+             "position: ", POSITION),
             ("position: [1, 1, 1]\n  size: [1, -1, 1]\n  rotation: 0",
-             "size: ", "box size components must be positive, got (1.0, -1.0, 1.0)"),
+             "size: ", SIZE),
             ("rotation: 0\n  position: [1, 1, 1]\n  size:\n  - 1\n  - 0\n  - 1",
-             "size:\n  ", "box size components must be positive, got (1.0, 0.0, 1.0)"),
+             "size:\n  ", SIZE),
             (f"position: [1, 1, 1]\n  size: [{BIG}, {BIG}, 1]\n  rotation: 0",
-             "size: ", "box volume must be finite"),
+             "size: ", SIZE),
             (f"position: [1, 1, 1]\n  size: [1, 1, 1]\n  rotation: {HUGE}",
              "rotation: ", "rotation must be finite"),
+            # Values just outside the box domain, in both syntaxes.
+            ("position=(1, 1, 1), size=(1, 0.0999, 1), rotation=0", "size=", SIZE),
+            (f"position=(1, 1, 1), size=(1, 1, {JUST_OVER}), rotation=0", "size=", SIZE),
+            (f"position=(1, -{JUST_OVER}, 1), size=(1, 1, 1), rotation=0", "position=", POSITION),
+            (f"position=(1, 1, -{HUGE}), size=(1, 1, 1), rotation=0", "position=", POSITION),
+            ("position: [1, 1, 1]\n  size: [0.0999, 1, 1]\n  rotation: 0", "size: ", SIZE),
+            (f"position: [1, 1, 1]\n  size: [{JUST_OVER}, 1, 1]\n  rotation: 0", "size: ", SIZE),
+            (f"position: [{JUST_OVER}, 1, 1]\n  size: [1, 1, 1]\n  rotation: 0", "position: ", POSITION),
+            (f"position: [1, 1, 1]\n  size: [1, {HUGE}, 1]\n  rotation: 0", "size: ", SIZE),
         ],
     )
     def test_box_rejection_points_at_the_argument(self, catalog, box_args, argument, message):
@@ -589,7 +601,7 @@ class TestTotality:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "1:38: error: box volume must be finite [syntax]"
+        assert proc.stdout.strip() == f"1:38: error: {self.SIZE} [syntax]"
 
 
 class TestValidate:
