@@ -11,6 +11,10 @@ parser returned for each:
 * `parse_yaml`: every diagnostic and the model's `repr` (so ints, floats
   and -0.0 stay apart), or the exception it raised.
 
+For each program that parses, the `parse_python` and `parse_yaml`
+fixtures also hold what `validate` finds in the model, placed at the
+parser's ID spans, so the catalog findings stay pinned.
+
 The inputs are hand-written lexical edge cases plus seeded mutants of
 emitted programs (and, for YAML, of the catalog texts). The `parse_yaml`
 fixture also holds whole emitted programs, default-spec and 40-48 boxes,
@@ -121,6 +125,8 @@ EDGE_CASES = [
     'm0 = Model(id="M-DOOR", box=b0)\n',
     f"{_DOOR_BOX}\nm0 = Model(id=\"M-DOOR\", box=b0, BIG={'1' * 200}, TINY=0.{'0' * 400}1)\n",
     "x" * 2000 + " = Box(position=(1, 1, 1), size=(1, 1, 1), rotation=0)\n",
+    # parameters the catalog does not know keep their literal
+    f'{_DOOR_BOX}\nm0 = Model(id="M-SIDE", box=b0, FOO=1.50, BAR=007, BAZ=+3)\n',
 ]
 
 _ALPHABET = list("\"\\\n\r\t #+-.=(),0123456789abcxyzBMN_") + [
@@ -193,7 +199,7 @@ def outcome(text: str, catalog) -> dict:
     from cabinetkit import parse_python
 
     result = parse_python(text, catalog)
-    diagnostics = _diagnostics(result)
+    diagnostics = _diagnostics(result.diagnostics)
     model = None
     if result.model is not None:
         model = [
@@ -207,15 +213,29 @@ def outcome(text: str, catalog) -> dict:
             ]
             for inst in result.model.instances
         ]
-    return {"text": text, "diagnostics": diagnostics, "model": model}
+    return {
+        "text": text,
+        "diagnostics": diagnostics,
+        "model": model,
+        "validate": _validate(result, catalog),
+    }
 
 
-def _diagnostics(result) -> list[list]:
+def _diagnostics(diagnostics) -> list[list]:
     return [
         [d.severity, d.code, d.message]
         + ([d.span.line, d.span.column, d.span.offset, d.span.length] if d.span else [])
-        for d in result.diagnostics
+        for d in diagnostics
     ]
+
+
+def _validate(result, catalog) -> list[list] | None:
+    """What `validate` finds in a parsed model, at the parser's ID spans."""
+    from cabinetkit import validate
+
+    if result.model is None:
+        return None
+    return _diagnostics(validate(result.model, catalog, spans=result.id_spans()))
 
 
 YAML_EDGE_CASES = [
@@ -522,6 +542,9 @@ def _door(old: str, new: str) -> str:
     return "cabinet:\n" + _BB01 + _DOOR.replace(old, new, 1)
 
 
+# An M-SIDE, which has no parameters, given three in literals that a
+# number's canonical form would change.
+_SIDE = _DOOR.replace("M-DOOR", "M-SIDE") + "  params:\n    FOO: 1.50\n    BAR: 007\n    BAZ: +3\n"
 _NAME = "  name: base box\n"
 _ROTATION = "  rotation: 0\n"
 _PARAMS = "  params:\n    N: 2\n    NKA: 298\n    NKB: 266\n    DBXX: 1\n"
@@ -622,6 +645,11 @@ YAML_PROGRAM_CASES = [
     _bb01(_PARAMS, "  params: [1]\n"),
     _bb01(_PARAMS, "  params:\n    N: 1\n    NKA: 300\n    DBXX: 1\n"),
     _door(_ROTATION, _ROTATION + "  params:\n    TXT: x\n"),
+    # parameters the catalog does not know keep their literal: the emitted
+    # layout, then two that only the node reader takes
+    "cabinet:\n" + _BB01 + _SIDE,
+    "cabinet:\n" + _BB01 + _SIDE.replace("1.50\n", "1.50 # c\n"),
+    "cabinet:\n" + _BB01 + _SIDE.replace("\n  - 10\n  - 10\n  - 10\n", " [10, 10, 10]\n"),
     "cabinet:\n" + _BB01 + _DOOR.replace("M-DOOR", "M-MYSTERY").replace(
         _ROTATION, _ROTATION + "  params:\n    QQ: 12\n    RR: 1.50\n    SS: -0.0\n    TT: 'x'\n"
     ),
@@ -683,7 +711,12 @@ def yaml_model_outcome(text: str, catalog) -> dict:
     except ValueError as exc:
         return {"text": text, "raises": f"{type(exc).__name__}: {exc}"}
     model = None if result.model is None else repr(result.model)
-    return {"text": text, "diagnostics": _diagnostics(result), "model": model}
+    return {
+        "text": text,
+        "diagnostics": _diagnostics(result.diagnostics),
+        "model": model,
+        "validate": _validate(result, catalog),
+    }
 
 
 def dumps(cases: list[dict]) -> str:
