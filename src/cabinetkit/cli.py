@@ -58,8 +58,6 @@ def cmd_validate(args) -> int:
     path = Path(args.path)
     fmt = _detect_format(path)
     result = corpus.parse_file(path, fmt, catalog)
-    # A parsed model's findings come from `program.validate`, which repeats
-    # the parser's catalog checks with their real severity and instance.
     if result.model is None:
         diags = result.diagnostics
     else:
@@ -75,8 +73,8 @@ def cmd_convert(args) -> int:
     in_path = Path(args.input)
     fmt = _detect_format(in_path)
     result = corpus.parse_file(in_path, fmt, catalog)
-    _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
     if result.model is None:
+        _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
         return EXIT_DIAGNOSTICS
     if args.to == "python":
         text = program.emit_python(result.model, catalog)
@@ -115,8 +113,8 @@ def cmd_render(args) -> int:
     in_path = Path(args.input)
     fmt = _detect_format(in_path)
     result = corpus.parse_file(in_path, fmt, catalog)
-    _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
     if result.model is None:
+        _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
         return EXIT_DIAGNOSTICS
     views = [v.strip() for v in args.views.split(",") if v.strip()]
     rendered = drawing.render_views(

@@ -241,8 +241,10 @@ class NoiseSpec:
         for p in (self.p_drop, self.p_spurious):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise ValueError(
+                f"jitter_sigma must be finite and non-negative, got {self.jitter_sigma!r}"
+            )
 
 
 def inject_noise(views: list[ViewDrawing], spec: NoiseSpec, seed: int) -> list[ViewDrawing]:
@@ -339,6 +341,14 @@ def layout_sheet(views: list[ViewDrawing], canvas: int = DEFAULT_CANVAS_PX) -> S
     return _layout_grid(views, canvas)
 
 
+def _room(canvas: int, gaps: int) -> float:
+    """Pixels the views share along one side of the canvas, between `gaps` gaps."""
+    room = canvas - 2 * MARGIN_PX - gaps * VIEW_GAP_PX
+    if not room > 0:
+        raise ValueError(f"canvas {canvas} px leaves no room for the views")
+    return room
+
+
 def _layout_canonical(views, canvas) -> Sheet:
     by_kind = {v.kind: v for v in views}
     front = _view_extent(by_kind["front"])
@@ -356,7 +366,7 @@ def _layout_canonical(views, canvas) -> Sheet:
 
     total_w = (col1_h1 - col1_h0) + col2_w
     total_h = (row_top_v1 - row_top_v0) + (row_bot_v1 - row_bot_v0)
-    avail = canvas - 2 * MARGIN_PX - VIEW_GAP_PX
+    avail = _room(canvas, 1)
     scale = min(avail / total_w, avail / total_h)
 
     origin_x = (canvas - (scale * total_w + VIEW_GAP_PX)) / 2.0
@@ -391,8 +401,8 @@ def _layout_grid(views, canvas) -> Sheet:
     extents = [_view_extent(v) for v in views]
     cell_w = max(e[2] - e[0] for e in extents)
     cell_h = max(e[3] - e[1] for e in extents)
-    avail_w = canvas - 2 * MARGIN_PX - (cols - 1) * VIEW_GAP_PX
-    avail_h = canvas - 2 * MARGIN_PX - (rows - 1) * VIEW_GAP_PX
+    avail_w = _room(canvas, cols - 1)
+    avail_h = _room(canvas, rows - 1)
     scale = min(avail_w / (cols * cell_w), avail_h / (rows * cell_h))
     used_w = cols * scale * cell_w + (cols - 1) * VIEW_GAP_PX
     used_h = rows * scale * cell_h + (rows - 1) * VIEW_GAP_PX

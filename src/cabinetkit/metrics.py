@@ -242,6 +242,8 @@ def evaluate_sample(
     A matched pair is a true positive only when IoU > iou_thresh (strict).
     Retrieval accuracy is computed over the true-positive pairs.
     """
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValueError(f"iou_thresh must lie in [0, 1], got {iou_thresh!r}")
     report = SampleReport(sample_id=sample_id, fn=len(gt))
     if pred is None:
         return report

@@ -15,8 +15,9 @@ two syntaxes:
   ``params`` (optional).
 
 Parsing never raises on malformed input; it returns diagnostics with source
-spans. An unknown model ID or a parameter that breaks the catalog schema is
-a warning, and the instance is kept. Emission is deterministic and
+spans, and only for what stops a program from being read. Checking a parsed
+model against the catalog (unknown model IDs, the parameter schemas) is the
+job of `validate`. Emission is deterministic and
 round-trips exactly, ``parse(emit(model)) == model``, with one exception:
 the Python syntax has no ``name``, so ``parse_python`` gives every instance
 its catalog name (or none for an unknown ID). YAML keeps the name.
@@ -33,7 +34,7 @@ from typing import Callable, Sequence
 
 from . import geometry, ryaml
 from .catalog import NK_KEY_RE, PARAM_KEY_RE, ParamValue, PrimitiveCatalog, validate_params
-from .diagnostics import Diagnostic, SourceSpan, error, has_errors, warning
+from .diagnostics import Diagnostic, SourceSpan, error, warning
 from .geometry import BoxError, OrientedBox
 
 MAX_INSTANCES = 48
@@ -85,8 +86,11 @@ def make_instance(
 
 @dataclass
 class ParseResult:
-    """Outcome of a parse: a model when no errors occurred, plus diagnostics.
+    """Outcome of a parse: a model, or None and the errors that stopped the read.
 
+    A parser reports only what keeps a program from being read (`syntax`,
+    `encoding`, `empty`, `empty-id`, `duplicate-param`), so a parsed model
+    comes with no diagnostics; `validate` checks it against the catalog.
     `id_spans()` gives the source span of each instance's model ID, for
     `validate` to place its findings. It is worked out on request, so that
     reading clean input spends nothing on it.
@@ -326,11 +330,11 @@ def parse_python(text: str | bytes, catalog: PrimitiveCatalog) -> ParseResult:
         if instance is not None:
             instances.append(instance)
 
-    if has_errors(diags) or not instances:
-        if not instances and not has_errors(diags):
-            diags.append(error("empty", "program defines no primitives"))
+    if not instances and not diags:
+        diags.append(error("empty", "program defines no primitives"))
+    if diags:
         return ParseResult(None, diags)
-    return ParseResult(CabinetModel(tuple(instances)), diags, lambda: [span() for span in id_spans])
+    return ParseResult(CabinetModel(tuple(instances)), [], lambda: [span() for span in id_spans])
 
 
 def _parse_primitive(
@@ -429,6 +433,7 @@ def _parse_primitive(
             if token[0] == _TOKEN_NUMBER:
                 parser.advance()
                 value: ParamValue = _number_value(token)
+                raw_params[name] = token[1]
             elif token[0] == _TOKEN_STRING:
                 parser.advance()
                 value = token[1]
@@ -439,7 +444,6 @@ def _parse_primitive(
                     error("duplicate-param", f"duplicate parameter key {name!r}", lines.span(key))
                 )
             params[name] = value
-            raw_params[name] = token[1]
         if not parser.accept_op(","):
             break
     parser.expect_op(")")
@@ -465,21 +469,15 @@ def _finish_instance(
     catalog: PrimitiveCatalog,
     diags: list[Diagnostic],
 ) -> PrimitiveInstance | None:
-    """Check the instance against the catalog; `id_span()` locates its findings.
+    """The instance, or None after reporting an empty ID at `id_span()`.
 
-    An unknown model ID and every schema finding are warnings, so the
-    instance is kept. `name` is None when the entry gives none; the
-    catalog's name is used then.
+    `name` is None when the entry gives none; the catalog's name is used
+    then. `raw_params` holds the source text of each number parameter.
     """
     if not model_id:
         diags.append(error("empty-id", "model ID must be non-empty", id_span()))
         return None
     schema = catalog.get(model_id)
-    if schema is None:
-        diags.append(warning("unknown-model", f"unknown model ID {model_id!r}", id_span()))
-    else:
-        for diag in validate_params(schema, params):
-            diags.append(warning(diag.code, diag.message, id_span()))
     # Catalog drift: parameters the catalog does not know keep their source text.
     kept: dict[str, ParamValue] = {
         key: value
@@ -563,9 +561,9 @@ def _read_emitted_yaml(text: str, catalog: PrimitiveCatalog) -> CabinetModel | N
     """The model of `text` when it is laid out as `emit_yaml` writes and parses clean.
 
     Returns None when an entry strays from that layout, a literal is out
-    of range, a box is rejected, a parameter key repeats or the catalog
-    check has any finding; `parse_yaml` then reads the whole text again
-    through `ryaml.parse`.
+    of range, a box is rejected, a parameter key repeats or an ID is
+    empty; `parse_yaml` then reads the whole text again through
+    `ryaml.parse`.
     """
     if not text.startswith(_YAML_HEADER):
         return None
@@ -584,6 +582,7 @@ def _read_emitted_yaml(text: str, catalog: PrimitiveCatalog) -> CabinetModel | N
         except ValueError:  # a literal out of range, or a BoxError
             return None
         params: dict[str, ParamValue] = {}
+        raw_params: dict[str, str] = {}
         if params_block is not None:
             for item in _YAML_PARAM_RE.finditer(params_block):
                 key, number, string = item.groups()
@@ -596,13 +595,12 @@ def _read_emitted_yaml(text: str, catalog: PrimitiveCatalog) -> CabinetModel | N
                     params[key] = ryaml.read_number(number)
                 except ValueError:
                     return None
-        # The verbatim text of a parameter is kept only for unknown models
-        # and parameters, which always yield a finding, so none is passed.
+                raw_params[key] = number
         name = None if name is None else _yaml_string(name)
         instance = _finish_instance(
-            _yaml_string(model_id), name, lambda: None, box, params, {}, catalog, diags
+            _yaml_string(model_id), name, lambda: None, box, params, raw_params, catalog, diags
         )
-        if diags:
+        if instance is None:
             return None
         instances.append(instance)
     if not instances:
@@ -634,21 +632,22 @@ def _parse_yaml_tree(text: str, catalog: PrimitiveCatalog) -> ParseResult:
     instances: list[PrimitiveInstance] = []
     id_spans: list[SourceSpan | None] = []
     for index, entry in enumerate(entries.items):
-        instance = _instance_from_yaml(index, entry, catalog, diags)
+        instance = _instance_from_yaml(index, entry, text, catalog, diags)
         if instance is not None:
             instances.append(instance)
             id_spans.append(entry.get("id").span)
 
-    if has_errors(diags) or not instances:
-        if not instances and not has_errors(diags):
-            diags.append(error("empty", "cabinet sequence is empty", _span_of(entries)))
+    if not instances and not diags:
+        diags.append(error("empty", "cabinet sequence is empty", _span_of(entries)))
+    if diags:
         return ParseResult(None, diags)
-    return ParseResult(CabinetModel(tuple(instances)), diags, lambda: id_spans)
+    return ParseResult(CabinetModel(tuple(instances)), [], lambda: id_spans)
 
 
 def _instance_from_yaml(
     index: int,
     entry: ryaml.Node,
+    text: str,
     catalog: PrimitiveCatalog,
     diags: list[Diagnostic],
 ) -> PrimitiveInstance | None:
@@ -714,11 +713,9 @@ def _instance_from_yaml(
                     ok = False
                     continue
                 params[key] = value_node.value
-                raw_params[key] = (
-                    value_node.value
-                    if isinstance(value_node.value, str)
-                    else ryaml.format_scalar(value_node.value)
-                )
+                if not isinstance(value_node.value, str):
+                    span = value_node.span
+                    raw_params[key] = text[span.offset:span.offset + span.length]
 
     if position is None or size is None or not ok:
         return None

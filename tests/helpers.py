@@ -12,13 +12,16 @@ from cabinetkit import CabinetModel, OrientedBox, SynthSpec, generate, make_inst
 from cabinetkit.geometry import CLIP_EPS, Point2, box_footprint, merge_segments, view_axes
 
 
-def awkward_text(min_size: int = 0):
+def awkward_text(min_size: int = 0, line_breaks: bool = True):
     """Text that must survive emission and parsing unchanged.
 
     It is drawn from the characters that carry meaning in the YAML subset,
     plus line breaks, or it is a word that would be written plain but for
-    its trailing line break.
+    its trailing line break. With `line_breaks` False it is only the first
+    kind, without line breaks.
     """
+    if not line_breaks:
+        return st.text(",[]#:'\"\\- \tabM1", min_size=min_size, max_size=10)
     return st.text(",[]#:'\"\\- \n\tabM1", min_size=min_size, max_size=10) | st.from_regex(
         r"[A-Za-z][A-Za-z0-9 .-]{0,8}\n", fullmatch=True
     )

@@ -233,6 +233,40 @@ class TestRender:
         assert capsys.readouterr().err == "error: unknown layers: wires\n"
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("jitter", ["inf", "nan"])
+    def test_non_finite_jitter_exits_two(self, model_file, tmp_path, capsys, jitter):
+        out = tmp_path / "x.svg"
+        assert run("render", model_file, out, "--noise-seed", 1, "--jitter", jitter) == 2
+        assert capsys.readouterr().err == (
+            f"error: jitter_sigma must be finite and non-negative, got {jitter}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("canvas", [0, -40, 70])
+    def test_canvas_without_room_for_the_views_exits_two(self, model_file, tmp_path, capsys,
+                                                         canvas):
+        out = tmp_path / "x.svg"
+        assert run("render", model_file, out, "--canvas", canvas) == 2
+        assert capsys.readouterr().err == (
+            f"error: canvas {canvas} px leaves no room for the views\n"
+        )
+        assert not out.exists()
+
+    def test_catalog_findings_are_left_to_validate(self, tmp_path, capsys):
+        path = tmp_path / "v.py"
+        path.write_text(
+            "b0 = Box(position=(300, 200, 1000), size=(600, 400, 2000), rotation=0)\n"
+            'm0 = Model(id="M-MYSTERY", box=b0, ZZZ=1)\n',
+            encoding="utf-8",
+        )
+        assert run("render", path, tmp_path / "x.svg") == 0
+        assert run("convert", path, tmp_path / "x.yaml", "--to", "yaml") == 0
+        assert capsys.readouterr().err == ""
+        assert run("validate", path) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}:2:15: error: instance 0: unknown model ID 'M-MYSTERY' [unknown-model]",
+        ]
+
 
 class TestSynthAndStats:
     def test_synth_reproducible(self, tmp_path):
@@ -282,6 +316,16 @@ class TestEval:
         assert report["micro"]["f1"] == 1.0
         assert report["macro"]["param_acc"] == 1.0
         assert report["iou_threshold"] == 0.5
+
+    @pytest.mark.parametrize("iou", ["nan", "inf", "-0.5", "1.5"])
+    def test_threshold_outside_unit_interval_exits_two(self, corpus_dir, tmp_path, capsys, iou):
+        report_path = tmp_path / "report.json"
+        assert run("eval", "--pred", corpus_dir, "--gt", corpus_dir, "--iou", iou,
+                   "--out", report_path) == 2
+        assert capsys.readouterr().err == (
+            f"error: iou_thresh must lie in [0, 1], got {float(iou)!r}\n"
+        )
+        assert not report_path.exists()
 
     def test_higher_threshold_never_higher_f1(self, corpus_dir, tmp_path):
         noisy = tmp_path / "noisy"
