@@ -34,14 +34,16 @@ def _detect_format(path: Path) -> str:
     """The syntax of a program file: by its suffix, else by its first line.
 
     A file that is neither `.py` nor `.yaml`/`.yml` is YAML when its first
-    line that is not blank or a `#` comment starts with `cabinet:`.
+    line that is not blank or a `#` comment starts with `cabinet:`. Like
+    the parsers, it reads the text after one leading byte order mark.
     """
     suffix = path.suffix.lower()
     if suffix == ".py":
         return "python"
     if suffix in (".yaml", ".yml"):
         return "yaml"
-    for line in path.read_text(encoding="utf-8", errors="replace").splitlines():
+    text = path.read_text(encoding="utf-8", errors="replace").removeprefix(program.BOM)
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             return "yaml" if line.startswith("cabinet:") else "python"
@@ -117,9 +119,7 @@ def cmd_render(args) -> int:
         _print_diagnostics(result.diagnostics, prefix=f"{in_path}:")
         return EXIT_DIAGNOSTICS
     views = [v.strip() for v in args.views.split(",") if v.strip()]
-    rendered = drawing.render_views(
-        result.model, views, section_cut_y=args.section_cut
-    )
+    rendered = drawing.render_views(result.model, views)
     # Annotations are always computed so that layer selection never changes
     # the layout; --layers only controls which SVG groups are written.
     annotated = drawing.annotate(rendered, result.model, catalog)
@@ -128,7 +128,7 @@ def cmd_render(args) -> int:
             p_drop=args.p_drop, jitter_sigma=args.jitter, p_spurious=args.p_spurious
         )
         annotated = drawing.inject_noise(annotated, noise, args.noise_seed)
-    sheet = drawing.layout_sheet(annotated, canvas=args.canvas)
+    sheet = drawing.layout_sheet(annotated)
     layers = frozenset(l.strip() for l in args.layers.split(",") if l.strip())
     Path(args.output).write_text(drawing.to_svg(sheet, layers), encoding="utf-8")
     return EXIT_OK
@@ -263,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--views", default="front,top,side", help="comma-separated view kinds")
     p.add_argument("--layers", default="geometry,annotation", help="SVG groups to write")
-    p.add_argument("--canvas", type=int, default=drawing.DEFAULT_CANVAS_PX)
-    p.add_argument("--section-cut", type=float, default=None, help="section plane y (mm)")
     p.add_argument("--noise-seed", type=int, default=None)
     p.add_argument("--p-drop", type=float, default=0.0)
     p.add_argument("--jitter", type=float, default=0.0)
@@ -301,7 +299,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "synth" and args.count <= 0:
-        parser.error("--count must be positive")
+        parser.error(f"--count must be positive, got {args.count}")
     try:
         return args.func(args)
     except (OSError, CatalogError, corpus.CorpusFormatError, ValueError) as exc:

@@ -10,8 +10,8 @@ A drawing is built in stages, each a pure function:
    shelves, a triangle for doors and their opening direction).
 3. ``inject_noise`` optionally degrades the geometry layer (segment
    drops, endpoint jitter, spurious strokes), deterministically per seed.
-4. ``layout_sheet`` places the views on a fixed square canvas (default
-   512 x 512 px) with one uniform scale: the canonical three-view set
+4. ``layout_sheet`` places the views on the fixed 512 x 512 px canvas
+   with one uniform scale: the canonical three-view set
    puts top at the top left, front at the bottom left, and side at the
    bottom right; other view counts fall back to a row-major grid.
 5. ``to_svg`` serializes with ``geometry`` and ``annotation`` as separate
@@ -121,32 +121,19 @@ class ViewDrawing:
     drawn: tuple[int, ...] = ()
 
 
-def render_views(
-    model: CabinetModel,
-    views: list[str],
-    *,
-    section_cut_y: float | None = None,
-) -> list[ViewDrawing]:
-    """Draw each requested view (1 to 5): its boxes' wireframes, merged once.
+def render_views(model: CabinetModel, views: list[str]) -> list[ViewDrawing]:
+    """Draw each requested view: its boxes' wireframes, merged once.
 
     A ``section`` view draws, front-style, only the instances whose box
-    reaches behind the cut plane (default: the model's mid depth), that is
-    whose largest world y is greater than the cut.
+    reaches behind the cut plane at the model's mid depth, that is whose
+    largest world y is greater than the midpoint of the model's y extent.
     """
-    if not views:
-        raise ValueError("at least one view is required")
-    if len(views) > 5:
-        raise ValueError("at most 5 views are supported on one sheet")
     out: list[ViewDrawing] = []
     for kind in views:
-        if kind not in geometry.VIEW_KINDS:
-            raise ValueError(f"unknown view kind {kind!r}")
         drawn = tuple(range(len(model.instances)))
         if kind == geometry.VIEW_SECTION:
             lo, hi, _ = geometry.box_bounds([instance.box for instance in model.instances])
-            cut = section_cut_y
-            if cut is None:
-                cut = float((lo[:, 1].min() + hi[:, 1].max()) / 2.0)
+            cut = (lo[:, 1].min() + hi[:, 1].max()) / 2.0
             drawn = tuple(np.flatnonzero(hi[:, 1] > cut).tolist())
         segments: list[Segment] = []
         for index in drawn:
@@ -238,17 +225,20 @@ class NoiseSpec:
     p_spurious: float = 0.02
 
     def __post_init__(self) -> None:
-        for p in (self.p_drop, self.p_spurious):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
-        if not 0.0 <= self.jitter_sigma < math.inf:
+        for name in ("p_drop", "p_spurious"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if not 0.0 <= self.jitter_sigma <= geometry.MAX_MM:
             raise ValueError(
-                f"jitter_sigma must be finite and non-negative, got {self.jitter_sigma!r}"
+                f"jitter_sigma must lie in [0, {geometry.MAX_MM:g}] mm, got {self.jitter_sigma!r}"
             )
 
 
 def inject_noise(views: list[ViewDrawing], spec: NoiseSpec, seed: int) -> list[ViewDrawing]:
     """Deterministically degrade the geometry layer; annotations untouched."""
+    if seed < 0:
+        raise ValueError(f"noise seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
     out: list[ViewDrawing] = []
     for view in views:
@@ -290,7 +280,8 @@ class PlacedView:
 
 @dataclass(frozen=True)
 class Sheet:
-    canvas_px: int
+    """Placed views on the DEFAULT_CANVAS_PX square; `scale` is px per mm."""
+
     scale: float
     views: tuple[PlacedView, ...]
 
@@ -326,7 +317,7 @@ def _view_extent(view: ViewDrawing) -> tuple[float, float, float, float]:
     return min(hs), min(vs), max(hs), max(vs)
 
 
-def layout_sheet(views: list[ViewDrawing], canvas: int = DEFAULT_CANVAS_PX) -> Sheet:
+def layout_sheet(views: list[ViewDrawing]) -> Sheet:
     """Place 1-5 views on the canvas with one shared scale.
 
     The canonical {front, top, side} set follows the third-angle layout
@@ -337,19 +328,16 @@ def layout_sheet(views: list[ViewDrawing], canvas: int = DEFAULT_CANVAS_PX) -> S
         raise ValueError("a sheet holds between 1 and 5 views")
     kinds = [v.kind for v in views]
     if sorted(kinds) == ["front", "side", "top"]:
-        return _layout_canonical(views, canvas)
-    return _layout_grid(views, canvas)
+        return _layout_canonical(views)
+    return _layout_grid(views)
 
 
-def _room(canvas: int, gaps: int) -> float:
+def _room(gaps: int) -> float:
     """Pixels the views share along one side of the canvas, between `gaps` gaps."""
-    room = canvas - 2 * MARGIN_PX - gaps * VIEW_GAP_PX
-    if not room > 0:
-        raise ValueError(f"canvas {canvas} px leaves no room for the views")
-    return room
+    return DEFAULT_CANVAS_PX - 2 * MARGIN_PX - gaps * VIEW_GAP_PX
 
 
-def _layout_canonical(views, canvas) -> Sheet:
+def _layout_canonical(views) -> Sheet:
     by_kind = {v.kind: v for v in views}
     front = _view_extent(by_kind["front"])
     top = _view_extent(by_kind["top"])
@@ -366,11 +354,11 @@ def _layout_canonical(views, canvas) -> Sheet:
 
     total_w = (col1_h1 - col1_h0) + col2_w
     total_h = (row_top_v1 - row_top_v0) + (row_bot_v1 - row_bot_v0)
-    avail = _room(canvas, 1)
+    avail = _room(1)
     scale = min(avail / total_w, avail / total_h)
 
-    origin_x = (canvas - (scale * total_w + VIEW_GAP_PX)) / 2.0
-    origin_y = (canvas - (scale * total_h + VIEW_GAP_PX)) / 2.0
+    origin_x = (DEFAULT_CANVAS_PX - (scale * total_w + VIEW_GAP_PX)) / 2.0
+    origin_y = (DEFAULT_CANVAS_PX - (scale * total_h + VIEW_GAP_PX)) / 2.0
     col1_x = origin_x
     col2_x = origin_x + scale * (col1_h1 - col1_h0) + VIEW_GAP_PX
     row_top_base = origin_y + scale * (row_top_v1 - row_top_v0)  # py of v = row_top_v0
@@ -390,24 +378,24 @@ def _layout_canonical(views, canvas) -> Sheet:
             placed.append(
                 PlacedView(view, col2_x - scale * side[0], row_bot_base + scale * row_bot_v0)
             )
-    return Sheet(canvas_px=canvas, scale=scale, views=tuple(placed))
+    return Sheet(scale=scale, views=tuple(placed))
 
 
 _GRID_SHAPES = {1: (1, 1), 2: (1, 2), 3: (1, 3), 4: (2, 2), 5: (2, 3)}
 
 
-def _layout_grid(views, canvas) -> Sheet:
+def _layout_grid(views) -> Sheet:
     rows, cols = _GRID_SHAPES[len(views)]
     extents = [_view_extent(v) for v in views]
     cell_w = max(e[2] - e[0] for e in extents)
     cell_h = max(e[3] - e[1] for e in extents)
-    avail_w = _room(canvas, cols - 1)
-    avail_h = _room(canvas, rows - 1)
+    avail_w = _room(cols - 1)
+    avail_h = _room(rows - 1)
     scale = min(avail_w / (cols * cell_w), avail_h / (rows * cell_h))
     used_w = cols * scale * cell_w + (cols - 1) * VIEW_GAP_PX
     used_h = rows * scale * cell_h + (rows - 1) * VIEW_GAP_PX
-    origin_x = (canvas - used_w) / 2.0
-    origin_y = (canvas - used_h) / 2.0
+    origin_x = (DEFAULT_CANVAS_PX - used_w) / 2.0
+    origin_y = (DEFAULT_CANVAS_PX - used_h) / 2.0
 
     placed = []
     for index, (view, extent) in enumerate(zip(views, extents)):
@@ -422,7 +410,7 @@ def _layout_grid(views, canvas) -> Sheet:
         dx = cell_x + pad_x - scale * extent[0]
         dy = cell_y + pad_y + scale * extent[3]
         placed.append(PlacedView(view, dx, dy))
-    return Sheet(canvas_px=canvas, scale=scale, views=tuple(placed))
+    return Sheet(scale=scale, views=tuple(placed))
 
 
 def _fmt(value: float) -> str:
@@ -434,7 +422,7 @@ def to_svg(sheet: Sheet, layers: frozenset[str] = LAYERS) -> str:
     """Deterministic SVG holding the named groups in `layers`, a subset of LAYERS."""
     if not LAYERS.issuperset(layers):
         raise ValueError(f"unknown layers: {', '.join(sorted(set(layers) - LAYERS))}")
-    c = sheet.canvas_px
+    c = DEFAULT_CANVAS_PX
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{c}" height="{c}" '

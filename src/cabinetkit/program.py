@@ -40,6 +40,9 @@ from .geometry import BoxError, OrientedBox
 MAX_INSTANCES = 48
 SIZE_FILTER_MM = (100.0, 4500.0)
 
+#: A byte order mark; `_decode` drops one at the start of a program text.
+BOM = "\ufeff"
+
 
 @dataclass(frozen=True)
 class PrimitiveInstance:
@@ -781,13 +784,17 @@ def emit_yaml(model: CabinetModel, catalog: PrimitiveCatalog) -> str:
 
 
 def _decode(text: str | bytes) -> tuple[str | None, list[Diagnostic]]:
-    if isinstance(text, str):
-        return text, []
-    try:
-        return text.decode("utf-8"), []
-    except UnicodeDecodeError as exc:
-        span = SourceSpan(1, 1, exc.start, max(1, exc.end - exc.start))
-        return None, [error("encoding", "input is not valid UTF-8", span)]
+    """The program text, without one leading byte order mark (U+FEFF).
+
+    Spans count from the character after the mark, as PyYAML reads it.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            span = SourceSpan(1, 1, exc.start, max(1, exc.end - exc.start))
+            return None, [error("encoding", "input is not valid UTF-8", span)]
+    return text.removeprefix(BOM), []
 
 
 # ---------------------------------------------------------------------------

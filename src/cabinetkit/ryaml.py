@@ -197,8 +197,8 @@ class _Parser:
     def parse_node(self, min_indent: int) -> Node:
         line = self.peek()
         if line is None or line.indent < min_indent:
-            span = line.span() if line else SourceSpan(1, 1, 0, 0)
-            raise RYamlError("expected a value", span)
+            # A document that ends where a value is due is reported at its last record.
+            raise RYamlError("expected a value", (line or self.lines[-1]).span())
         if line.entry:
             return self._parse_sequence(line.indent)
         if line.key is not None:

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .catalog import PrimitiveCatalog, builtin_catalog
-from .geometry import OrientedBox, model_aabb
+from .geometry import MAX_MM, OrientedBox, model_aabb
 from .program import MAX_INSTANCES, CabinetModel, PrimitiveInstance, make_instance
 
 # Keep every corner at least this far from the world origin so that decoded
@@ -37,7 +37,6 @@ class PerturbSpec:
 
     seed: int = 0
     pos_sigma_mm: float = 0.0
-    size_sigma_mm: float = 0.0
     id_swap_rate: float = 0.0
     drop_rate: float = 0.0
     add_rate: float = 0.0
@@ -47,8 +46,10 @@ class PerturbSpec:
         for rate in (self.id_swap_rate, self.drop_rate, self.add_rate, self.param_corrupt_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("rates must lie in [0, 1]")
-        if self.pos_sigma_mm < 0 or self.size_sigma_mm < 0:
-            raise ValueError("sigmas must be non-negative")
+        if not 0.0 <= self.pos_sigma_mm <= MAX_MM:
+            raise ValueError(
+                f"pos_sigma_mm must lie in [0, {MAX_MM:g}] mm, got {self.pos_sigma_mm!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ class SynthSpec:
     count_range: tuple[int, int] = (1, MAX_INSTANCES)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         lo, hi = self.count_range
         if not 1 <= lo <= hi <= MAX_INSTANCES:
             raise ValueError(f"count_range must lie within [1, {MAX_INSTANCES}]")
@@ -254,27 +257,13 @@ def perturb(
             i = candidates[index]
             instances[i] = _corrupt_one_param(rng, instances[i], catalog)
 
-    if spec.pos_sigma_mm > 0 or spec.size_sigma_mm > 0:
+    if spec.pos_sigma_mm > 0:
         jittered = []
         for inst in instances:
             px, py, pz = inst.box.position
-            sx, sy, sz = inst.box.size
-            if spec.pos_sigma_mm > 0:
-                dx, dy, dz = rng.normal(0.0, spec.pos_sigma_mm, size=3)
-                px, py, pz = px + dx, py + dy, pz + dz
-            if spec.size_sigma_mm > 0:
-                dx, dy, dz = rng.normal(0.0, spec.size_sigma_mm, size=3)
-                sx = max(1.0, sx + dx)
-                sy = max(1.0, sy + dy)
-                sz = max(1.0, sz + dz)
-            jittered.append(
-                PrimitiveInstance(
-                    model_id=inst.model_id,
-                    box=OrientedBox((px, py, pz), (sx, sy, sz), inst.box.rotation_deg),
-                    name=inst.name,
-                    params=inst.params,
-                )
-            )
+            dx, dy, dz = rng.normal(0.0, spec.pos_sigma_mm, size=3)
+            box = OrientedBox((px + dx, py + dy, pz + dz), inst.box.size, inst.box.rotation_deg)
+            jittered.append(PrimitiveInstance(inst.model_id, box, inst.name, inst.params))
         instances = jittered
 
     add_count = round(spec.add_rate * n)

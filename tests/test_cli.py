@@ -238,18 +238,28 @@ class TestRender:
         out = tmp_path / "x.svg"
         assert run("render", model_file, out, "--noise-seed", 1, "--jitter", jitter) == 2
         assert capsys.readouterr().err == (
-            f"error: jitter_sigma must be finite and non-negative, got {jitter}\n"
+            f"error: jitter_sigma must lie in [0, 1e+06] mm, got {jitter}\n"
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("canvas", [0, -40, 70])
-    def test_canvas_without_room_for_the_views_exits_two(self, model_file, tmp_path, capsys,
-                                                         canvas):
+    @pytest.mark.parametrize("views, message", [
+        (",", "a sheet holds between 1 and 5 views"),
+        ("front,top,side,section,front,top", "a sheet holds between 1 and 5 views"),
+        ("front,wat", "unknown view kind 'wat'"),
+    ])
+    def test_bad_view_list_exits_two(self, model_file, tmp_path, capsys, views, message):
         out = tmp_path / "x.svg"
-        assert run("render", model_file, out, "--canvas", canvas) == 2
-        assert capsys.readouterr().err == (
-            f"error: canvas {canvas} px leaves no room for the views\n"
-        )
+        assert run("render", model_file, out, "--views", views) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--canvas=512", "--section-cut=5"])
+    def test_removed_options_exit_two(self, model_file, tmp_path, capsys, option):
+        out = tmp_path / "x.svg"
+        with pytest.raises(SystemExit) as err:
+            run("render", model_file, out, option)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_catalog_findings_are_left_to_validate(self, tmp_path, capsys):
@@ -458,7 +468,8 @@ class TestEval:
 class TestFormatDetection:
     """A program's syntax comes from its suffix, else from its first line of content."""
 
-    @pytest.mark.parametrize("head", ["# a comment\n", "\n  \n# one\n  # two\n\n"])
+    @pytest.mark.parametrize("head", ["# a comment\n", "\n  \n# one\n  # two\n\n", "\ufeff",
+                                      "\ufeff# a byte order mark, then a comment\n"])
     def test_leading_comments_and_blank_lines_are_skipped(self, head, tmp_path, catalog, capsys):
         model = generate(SynthSpec(seed=5), catalog)
         yaml_path, python_path = tmp_path / "m.txt", tmp_path / "p.txt"
@@ -475,6 +486,56 @@ class TestFormatDetection:
         path.write_text("# cabinet:\n", encoding="utf-8")
         assert run("validate", path) == 1
         assert capsys.readouterr().err == f"{path}:error: program defines no primitives [empty]\n"
+
+
+# Each numeric option of each subcommand meets these values. A huge --count
+# really asks for that many files, so --count gets only values that are not
+# positive integers.
+_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e18", "1e308", str(2**64)]
+_NUMERIC_RUNS = (
+    [("render", option, value)
+     for option in ("--noise-seed", "--p-drop", "--jitter", "--p-spurious")
+     for value in _NUMBERS]
+    + [("eval", "--iou", value) for value in _NUMBERS]
+    + [("synth", "--seed", value) for value in _NUMBERS]
+    + [("synth", "--count", value) for value in _NUMBERS if value != str(2**64)]
+)
+
+
+class TestNumericOptions:
+    """A numeric option either exits 2 naming its value, or writes only finite numbers."""
+
+    @pytest.mark.parametrize("command, option, value", _NUMERIC_RUNS)
+    def test_value_is_named_or_output_is_finite(self, command, option, value, model_file,
+                                                tmp_path, capsys):
+        out = tmp_path / "out"
+        if command == "render":
+            argv = ["render", model_file, out, f"{option}={value}"]
+            if option != "--noise-seed":  # the rates apply only to a noisy drawing
+                argv += ["--noise-seed", 1]
+        elif command == "eval":
+            corpus = tmp_path / "corpus"
+            assert run("synth", "--count", 2, "--out", corpus) == 0
+            argv = ["eval", "--pred", corpus, "--gt", corpus, f"{option}={value}", "--out", out]
+        else:
+            argv = ["synth", "--out", out, f"{option}={value}"]
+            if option != "--count":
+                argv += ["--count", 1]
+        capsys.readouterr()
+        try:
+            code = run(*argv)
+        except SystemExit as exc:  # argparse rejects a value its type does not read
+            code = exc.code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert value in captured.err or repr(float(value)) in captured.err, captured.err
+            return
+        assert code == 0, captured.err
+        written = [captured.out.replace(str(tmp_path), "")]
+        files = sorted(out.iterdir()) if out.is_dir() else [out]
+        written += [path.read_text(encoding="utf-8") for path in files]
+        for text in written:
+            assert "nan" not in text.lower() and "inf" not in text.lower()
 
 
 def _box_texts(position, size):

@@ -63,7 +63,7 @@ class TestRenderViews:
         front_box = make_instance(catalog, "M-DOOR", OrientedBox((5, 1, 5), (4, 2, 6)))
         back_box = make_instance(catalog, "M-SHFX", OrientedBox((5, 9, 5), (4, 2, 6)))
         model = CabinetModel((front_box, back_box))
-        section = render_views(model, ["section"], section_cut_y=5.0)[0]
+        section = render_views(model, ["section"])[0]
         assert len(section.segments) == 4  # only the back instance
 
     def test_section_of_synthesized_models(self, catalog):
@@ -88,9 +88,9 @@ class TestRenderViews:
 
     def test_view_count_limits(self, catalog, simple_model):
         with pytest.raises(ValueError):
-            render_views(simple_model, [])
+            layout_sheet(render_views(simple_model, []))
         with pytest.raises(ValueError):
-            render_views(simple_model, ["front"] * 6)
+            layout_sheet(render_views(simple_model, ["front"] * 6))
 
     def test_front_bbox_matches_model_aabb(self, catalog, simple_model):
         view = render_views(simple_model, ["front"])[0]
@@ -180,7 +180,7 @@ class TestLayout:
         ]
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
-        canvas, margin = sheet.canvas_px, MARGIN_PX
+        canvas, margin = DEFAULT_CANVAS_PX, MARGIN_PX
         assert min(xs) >= margin - 1e-6 and max(xs) <= canvas - margin + 1e-6
         assert min(ys) >= margin - 1e-6 and max(ys) <= canvas - margin + 1e-6
         # centered: symmetric slack
@@ -201,7 +201,7 @@ class TestLayout:
                     )
         span_x = max(p[0] for p in points) - min(p[0] for p in points)
         span_y = max(p[1] for p in points) - min(p[1] for p in points)
-        expected = sheet.canvas_px - 2 * MARGIN_PX
+        expected = DEFAULT_CANVAS_PX - 2 * MARGIN_PX
         assert max(span_x, span_y) == pytest.approx(expected, abs=1e-6)
 
     def test_all_views_inside_canvas(self, catalog):
@@ -215,12 +215,13 @@ class TestLayout:
                     for seg in placed.view.segments:
                         for p in seg:
                             x, y = sheet.to_px(placed, p)
-                            assert -1e-6 <= x <= sheet.canvas_px + 1e-6
-                            assert -1e-6 <= y <= sheet.canvas_px + 1e-6
+                            assert -1e-6 <= x <= DEFAULT_CANVAS_PX + 1e-6
+                            assert -1e-6 <= y <= DEFAULT_CANVAS_PX + 1e-6
 
     def test_default_canvas_is_512(self, catalog, simple_model):
-        sheet = layout_sheet(render_views(simple_model, ["front"]))
-        assert sheet.canvas_px == DEFAULT_CANVAS_PX == 512
+        svg = to_svg(layout_sheet(render_views(simple_model, ["front"])))
+        assert DEFAULT_CANVAS_PX == 512
+        assert 'width="512" height="512" viewBox="0 0 512 512"' in svg
 
 
 class TestNoise:
@@ -246,6 +247,25 @@ class TestNoise:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(p_drop=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_drop", math.nan), ("p_spurious", -0.5), ("p_spurious", math.inf),
+        ("jitter_sigma", math.nan), ("jitter_sigma", -1.0), ("jitter_sigma", 1e18),
+    ])
+    def test_errors_name_the_field_and_the_value(self, field, value):
+        pattern = rf"^{field} must lie in \[0, .*got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=pattern):
+            NoiseSpec(**{field: value})
+
+    def test_jitter_up_to_the_box_domain_stays_finite(self, catalog, simple_model):
+        views = annotate(render_views(simple_model, ["front", "top"]), simple_model, catalog)
+        noisy = inject_noise(views, NoiseSpec(0.0, 1e6, 0.0), seed=1)
+        svg = to_svg(layout_sheet(noisy))
+        assert "nan" not in svg and "inf" not in svg
+
+    def test_negative_seed_rejected(self, simple_model):
+        with pytest.raises(ValueError, match=r"^noise seed must be non-negative, got -1$"):
+            inject_noise(render_views(simple_model, ["front"]), NoiseSpec(), seed=-1)
 
 
 class TestSvg:

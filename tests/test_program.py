@@ -165,6 +165,36 @@ class TestParsePython:
         assert sum(d.severity == "error" for d in result.diagnostics) >= 2
 
 
+class TestByteOrderMark:
+    """Both parsers drop one leading U+FEFF, from str and from bytes, as PyYAML does."""
+
+    SYNTAXES = [(emit_python, parse_python), (emit_yaml, parse_yaml)]
+
+    @pytest.mark.parametrize("emit, parse", SYNTAXES)
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_one_leading_bom_is_dropped(self, emit, parse, as_bytes, catalog):
+        model = generate(SynthSpec(seed=5), catalog)
+        text = "\ufeff" + emit(model, catalog)
+        result = parse(text.encode("utf-8") if as_bytes else text, catalog)
+        assert result.model == model and result.diagnostics == []
+        assert result.id_spans() == parse(emit(model, catalog), catalog).id_spans()
+
+    @pytest.mark.parametrize("text, parse", [
+        ("\ufeff" + TWO_STATEMENTS.replace("b0 =", "b0 = =", 1), parse_python),
+        ("\ufeff" + _DOOR_YAML.replace("rotation: 0", "rotation: [0"), parse_yaml),
+    ])
+    def test_spans_count_from_after_the_bom(self, text, parse, catalog):
+        assert parse(text, catalog).diagnostics == parse(text[1:], catalog).diagnostics
+        assert parse(text, catalog).diagnostics
+
+    @pytest.mark.parametrize("emit, parse", SYNTAXES)
+    def test_only_one_bom_is_dropped(self, emit, parse, catalog):
+        text = "\ufeff\ufeff" + emit(generate(SynthSpec(seed=5), catalog), catalog)
+        result = parse(text, catalog)
+        assert result.model is None
+        assert [diag.code for diag in result.diagnostics] == ["syntax"]
+
+
 class TestParseYaml:
     def test_single_entry(self, catalog):
         text = """\

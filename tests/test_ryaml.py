@@ -135,3 +135,14 @@ def test_empty_document_rejected():
 def test_missing_value_rejected():
     with pytest.raises(RYamlError, match="missing value"):
         ryaml.parse("a:\nb: 1\n")
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("a:\n  - ", 2, 3),
+    ("cabinet:\n- id: M-SIDE\n  position:\n  - 1\n  - ", 5, 3),
+    ("- ", 1, 1),
+])
+def test_document_cut_where_a_value_is_due_points_at_its_last_record(text, line, column):
+    with pytest.raises(RYamlError, match="expected a value") as err:
+        ryaml.parse(text)
+    assert (err.value.span.line, err.value.span.column) == (line, column)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,10 @@ class TestGenerate:
 
     def test_different_seeds_differ(self, catalog):
         assert generate(SynthSpec(seed=1), catalog) != generate(SynthSpec(seed=2), catalog)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            SynthSpec(seed=-1)
 
     def test_validates_with_filters(self, catalog):
         for seed in range(1000):
@@ -128,10 +134,21 @@ class TestPerturb:
 
     def test_jitter_determinism(self, catalog):
         model = generate(SynthSpec(seed=5), catalog)
-        spec = PerturbSpec(seed=7, pos_sigma_mm=10.0, size_sigma_mm=5.0)
+        spec = PerturbSpec(seed=7, pos_sigma_mm=10.0)
         assert perturb(model, spec, catalog) == perturb(model, spec, catalog)
-        other = PerturbSpec(seed=8, pos_sigma_mm=10.0, size_sigma_mm=5.0)
+        other = PerturbSpec(seed=8, pos_sigma_mm=10.0)
         assert perturb(model, spec, catalog) != perturb(model, other, catalog)
+
+    def test_size_sigma_is_gone(self):
+        with pytest.raises(TypeError):
+            PerturbSpec(size_sigma_mm=5.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0, 1e7])
+    def test_pos_sigma_outside_the_box_domain_rejected(self, sigma):
+        message = f"pos_sigma_mm must lie in [0, 1e+06] mm, got {sigma!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PerturbSpec(pos_sigma_mm=sigma)
+
 
 
 class TestStats:
