@@ -7,16 +7,17 @@ makes the IoU exact (no sampling) and cheap.
 
 import numpy as np
 
-from cabinetkit import OrientedBox, box_footprint, iou3d, merge_segments, project_box
-from cabinetkit.geometry import box_bounds
+from cabinetkit import CabinetModel, OrientedBox, builtin_catalog, iou3d, make_instance, render_views
+from cabinetkit.geometry import box_bounds, footprints
 
 # A box is its center, its extents, and a rotation about z in degrees.
 box = OrientedBox(position=(0, 0, 0), size=(2, 4, 2), rotation_deg=45)
 
 # The xy footprint is a convex CCW quad; rotations that are multiples of
 # 90 degrees are snapped exactly, so axis-aligned results stay exact. With
-# the z interval it fixes the whole box.
-print("footprint of a 45-degree box:", [tuple(round(c, 3) for c in v) for v in box_footprint(box)])
+# the z interval it fixes the whole box. `footprints` builds those of any
+# number of boxes as one (n, 4, 2) array.
+print("footprint of a 45-degree box:", np.round(footprints([box])[0], 3).tolist())
 print("z interval:", box.z_interval)
 
 # The world-frame bounds (lo, hi) of any number of boxes, and which of them
@@ -34,9 +35,12 @@ print("iou(a, a shifted by 1.0) =", iou3d(a, OrientedBox((1.0, 0, 0), (1, 1, 1))
 b = OrientedBox((0.3, 0.2, 0), (1, 1, 1), rotation_deg=30)
 print("iou(a, rotated b) =", round(iou3d(a, b), 6))
 
-# Orthographic projections give the drawing geometry. Merged, as
-# render_views merges each view, an axis-aligned box projects to its 4
-# silhouette segments; a rotated one shows interior edges.
-print("\nfront view of an axis-aligned box:", len(merge_segments(project_box(a, "front"))), "segments")
-print("front view of the 45-degree box: ", len(merge_segments(project_box(box, "front"))), "segments")
-print("top view of the 45-degree box:  ", len(merge_segments(project_box(box, "top"))), "segments")
+# Orthographic projections give the drawing geometry. render_views
+# projects a model's boxes into each view and merges the view's segments:
+# an axis-aligned box projects to its 4 silhouette segments; a rotated one
+# shows interior edges.
+catalog = builtin_catalog()
+print()
+for name, b in (("an axis-aligned box", a), ("the 45-degree box", box)):
+    front, top = render_views(CabinetModel((make_instance(catalog, "M-DOOR", b),)), ["front", "top"])
+    print(f"{name}: front view {len(front.segments)} segments, top view {len(top.segments)} segments")

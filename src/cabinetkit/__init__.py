@@ -44,11 +44,9 @@ from .drawing import (
 )
 from .geometry import (
     OrientedBox,
-    box_footprint,
     iou3d,
     merge_segments,
     model_aabb,
-    project_box,
 )
 from .metrics import (
     CorpusReport,
@@ -99,7 +97,6 @@ __all__ = [
     "SynthSpec",
     "ViewDrawing",
     "annotate",
-    "box_footprint",
     "builtin_catalog",
     "decode",
     "dequantize_length",
@@ -124,7 +121,6 @@ __all__ = [
     "parse_python",
     "parse_yaml",
     "perturb",
-    "project_box",
     "quantize_length",
     "quantize_rotation",
     "render_views",

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import PrimitiveCatalog
-from .program import CabinetModel, PrimitiveInstance, make_instance
+from .program import MAX_INSTANCES, CabinetModel, PrimitiveInstance, make_instance
 from .geometry import OrientedBox
 
 logger = logging.getLogger(__name__)
@@ -37,7 +37,7 @@ ROTATION_RESOLUTION_DEG = 360.0 / ROTATION_BINS
 START_TOKEN = "<s>"
 END_TOKEN = "</s>"
 
-MAX_COMMANDS = 48
+MAX_COMMANDS = MAX_INSTANCES  # one command per primitive
 TOKENS_PER_COMMAND = 8
 
 

@@ -135,9 +135,7 @@ def render_views(model: CabinetModel, views: list[str]) -> list[ViewDrawing]:
             lo, hi, _ = geometry.box_bounds([instance.box for instance in model.instances])
             cut = (lo[:, 1].min() + hi[:, 1].max()) / 2.0
             drawn = tuple(np.flatnonzero(hi[:, 1] > cut).tolist())
-        segments: list[Segment] = []
-        for index in drawn:
-            segments.extend(geometry.project_box(model.instances[index].box, kind))
+        segments = geometry.project_boxes([model.instances[i].box for i in drawn], kind)
         out.append(ViewDrawing(kind, geometry.merge_segments(segments), drawn=drawn))
     return out
 

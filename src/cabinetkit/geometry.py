@@ -4,7 +4,8 @@ Coordinate conventions: the up axis is +z, the front of a cabinet faces -y,
 and the world origin sits at a cabinet corner so that valid assemblies lie
 in the first octant. Boxes rotate about the vertical (z) axis only, which
 keeps every overlap query an exact 2D convex-polygon problem times a 1D
-interval overlap. `pairwise_iou` clips all of a call's convex footprint
+interval overlap. Bounds, clipping and projection all read one footprint
+array (`footprints`). `pairwise_iou` clips all of a call's convex footprint
 pairs at once, as padded numpy arrays (`_clip_areas`), in the float
 operation order of the per-pair Sutherland-Hodgman loop that the tests keep
 as its reference, so its scores equal that loop's bit for bit.
@@ -150,16 +151,20 @@ def _rot2(deg: float) -> tuple[float, float]:
     return math.cos(rad), math.sin(rad)
 
 
-def box_footprint(box: OrientedBox) -> list[Point2]:
-    """CCW xy-plane footprint of the box (4 vertices)."""
-    c, s = _rot2(box.rotation_deg)
-    hx = box.size[0] / 2.0
-    hy = box.size[1] / 2.0
-    px, py = box.position[0], box.position[1]
-    verts = []
-    for lx, ly in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy)):
-        verts.append((px + c * lx - s * ly, py + s * lx + c * ly))
-    return verts
+#: The x and y signs of each CCW footprint corner's offset from the center.
+_CORNER_X, _CORNER_Y = np.array([(-1.0, 1.0, 1.0, -1.0), (-1.0, -1.0, 1.0, 1.0)])
+
+
+def footprints(boxes: Sequence[OrientedBox]) -> np.ndarray:
+    """CCW xy-plane footprints of the boxes, shape (n, 4, 2): the one footprint routine.
+
+    Each box turns by `_rot2`'s (cos, sin), and each corner (lx, ly) of its
+    half size lands at px + c*lx - s*ly, py + s*lx + c*ly, in that float order.
+    """
+    fields = [(*box.position[:2], *box.size[:2], *_rot2(box.rotation_deg)) for box in boxes]
+    px, py, sx, sy, c, s = np.array(fields).reshape(-1, 6, 1).swapaxes(0, 1)
+    lx, ly = sx / 2.0 * _CORNER_X, sy / 2.0 * _CORNER_Y
+    return np.stack((px + c * lx - s * ly, py + s * lx + c * ly), axis=2)
 
 
 def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox]) -> np.ndarray:
@@ -173,17 +178,16 @@ def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox])
     footprint's area and z interval, capped so the score stays in [0, 1].
     The clipping runs only for pairs that overlap in z and whose xy bounds
     are not apart by more than the clipping tolerance can bridge, and all of
-    a call's pairs are clipped at once (`_clip_areas`). Each box's footprint,
-    footprint area and z interval are worked out once per call. Pairs that
-    only touch (zero-volume intersection) score 0, exactly so when both boxes
+    a call's pairs are clipped at once (`_clip_areas`), from one `footprints`
+    call per side, each area worked out once. Pairs that only touch (zero-volume intersection) score 0, exactly so when both boxes
     are at right angles or the touch is in z. Every score is finite because
     every box lies in the `OrientedBox` domain.
     """
     iou = np.zeros((len(boxes_a), len(boxes_b)))
     if iou.size == 0:
         return iou
-    lo_a, hi_a, right_a, feet_a = _bounds(boxes_a)
-    lo_b, hi_b, right_b, feet_b = _bounds(boxes_b)
+    lo_a, hi_a, right_a = box_bounds(boxes_a)
+    lo_b, hi_b, right_b = box_bounds(boxes_b)
     # Every pair takes the AABB arithmetic, and only right-angle pairs that
     # overlap keep it.
     overlap = np.minimum(hi_a[:, None], hi_b[None]) - np.maximum(lo_a[:, None], lo_b[None])
@@ -202,8 +206,7 @@ def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox])
     rows, cols = np.nonzero(~right & (oz > 0) & (ox > -_REACH_MM) & (oy > -_REACH_MM))
     if rows.size == 0:
         return iou
-    _add_right_angle_footprints(feet_a, boxes_a, right_a, rows)
-    _add_right_angle_footprints(feet_b, boxes_b, right_b, cols)
+    feet_a, feet_b = footprints(boxes_a), footprints(boxes_b)
     # Lanes whose crossing is inf or NaN (an edge not crossed) are multiplied
     # before `_clip_areas` drops them.
     with np.errstate(invalid="ignore"):
@@ -314,16 +317,7 @@ def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np
     This is the one place a box's world extent is worked out. A right-angle
     box's bounds are field arithmetic (center -/+ half size, x and y swapped
     on odd quarter turns), which is bit-identical to its corners; a rotated
-    box's xy bounds come from its footprint corners.
-    """
-    lo, hi, right, _ = _bounds(boxes)
-    return lo, hi, right
-
-
-def _bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`box_bounds`, and the footprints, shape (n, 4, 2), of the rotated boxes.
-
-    Rows of right-angle boxes' footprints are left at zero.
+    box's xy bounds come from its `footprints` corners.
     """
     n = len(boxes)
     position = np.array([box.position for box in boxes]).reshape(n, 3)
@@ -334,22 +328,12 @@ def _bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.nd
     half[odd, :2] = half[odd, 1::-1]
     lo = position - half
     hi = position + half
-    feet = np.zeros((n, 4, 2))
     rotated = np.flatnonzero(~right)
     if rotated.size:
-        feet[rotated] = [box_footprint(boxes[i]) for i in rotated.tolist()]
-        lo[rotated, :2] = feet[rotated].min(axis=1)
-        hi[rotated, :2] = feet[rotated].max(axis=1)
-    return lo, hi, right, feet
-
-
-def _add_right_angle_footprints(
-    feet: np.ndarray, boxes: Sequence[OrientedBox], right: np.ndarray, index: np.ndarray
-) -> None:
-    """Fill in the footprints of the right-angle boxes among `index`."""
-    needed = np.flatnonzero(np.bincount(index, minlength=len(boxes)).astype(bool) & right)
-    if needed.size:
-        feet[needed] = [box_footprint(boxes[i]) for i in needed.tolist()]
+        feet = footprints([boxes[i] for i in rotated.tolist()])
+        lo[rotated, :2] = feet.min(axis=1)
+        hi[rotated, :2] = feet.max(axis=1)
+    return lo, hi, right
 
 
 def iou3d(a: OrientedBox, b: OrientedBox) -> float:
@@ -366,25 +350,28 @@ def model_aabb(model: "CabinetModel") -> tuple[np.ndarray, np.ndarray]:
     return lo.min(axis=0), hi.max(axis=0)
 
 
-def project_box(box: OrientedBox, view: str) -> list[Segment]:
-    """Orthographic wireframe of the box in a principal view, unmerged.
+def project_boxes(boxes: Sequence[OrientedBox], view: str) -> list[Segment]:
+    """Orthographic wireframes of the boxes in a principal view, unmerged.
 
-    The top view is the footprint's four edges. The other views span the
-    footprint along the view's horizontal axis: a horizontal across that
-    span at each end of the z interval, and a vertical over the z interval
-    at each footprint corner. A right-angle box thus gives each vertical
-    twice in `front`, `side` and `section`; `render_views` merges each view
-    once, which removes them and drops segments no longer than CLIP_EPS.
+    Box by box, the top view is the footprint's four edges. The other views
+    span the footprint along the view's horizontal axis: a horizontal across
+    that span at each end of the z interval, then a vertical over the z
+    interval at each footprint corner. A right-angle box thus gives each
+    vertical twice in `front`, `side` and `section`; `render_views` merges
+    each view once, which removes them and drops segments no longer than
+    CLIP_EPS.
     """
     ax_h, _ = view_axes(view)
-    footprint = box_footprint(box)
-    if view == VIEW_TOP:
-        segments = list(zip(footprint, footprint[1:] + footprint[:1]))
-    else:
-        z0, z1 = box.z_interval
-        hs = [corner[ax_h] for corner in footprint]
-        segments = [((min(hs), z), (max(hs), z)) for z in (z0, z1)]
-        segments += [((h, z0), (h, z1)) for h in hs]
+    segments: list[Segment] = []
+    for box, ring in zip(boxes, footprints(boxes).tolist()):
+        if view == VIEW_TOP:
+            corners = list(map(tuple, ring))
+            segments += zip(corners, corners[1:] + corners[:1])
+        else:
+            z0, z1 = box.z_interval
+            hs = [corner[ax_h] for corner in ring]
+            segments += [((min(hs), z), (max(hs), z)) for z in (z0, z1)]
+            segments += [((h, z0), (h, z1)) for h in hs]
     return segments
 
 

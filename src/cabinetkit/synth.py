@@ -43,9 +43,10 @@ class PerturbSpec:
     param_corrupt_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for rate in (self.id_swap_rate, self.drop_rate, self.add_rate, self.param_corrupt_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("rates must lie in [0, 1]")
+        for name in ("id_swap_rate", "drop_rate", "add_rate", "param_corrupt_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         if not 0.0 <= self.pos_sigma_mm <= MAX_MM:
             raise ValueError(
                 f"pos_sigma_mm must lie in [0, {MAX_MM:g}] mm, got {self.pos_sigma_mm!r}"
@@ -227,7 +228,11 @@ def _extra_shelves(rng, catalog, compartments, depth, interior_h, t, m, needed):
 def perturb(
     model: CabinetModel, spec: PerturbSpec, catalog: PrimitiveCatalog | None = None
 ) -> CabinetModel:
-    """Seeded degradation with fixed-count edits; all-zero rates is identity."""
+    """Seeded degradation with fixed-count edits; all-zero rates is identity.
+
+    Each position component of a jittered or added box is clamped to the box
+    domain, [-MAX_MM, MAX_MM], which moves only boxes that would leave it.
+    """
     catalog = catalog or builtin_catalog()
     rng = np.random.default_rng(spec.seed)
     instances = list(model.instances)
@@ -260,9 +265,9 @@ def perturb(
     if spec.pos_sigma_mm > 0:
         jittered = []
         for inst in instances:
-            px, py, pz = inst.box.position
-            dx, dy, dz = rng.normal(0.0, spec.pos_sigma_mm, size=3)
-            box = OrientedBox((px + dx, py + dy, pz + dz), inst.box.size, inst.box.rotation_deg)
+            jitter = rng.normal(0.0, spec.pos_sigma_mm, size=3).tolist()
+            position = tuple(min(max(p + d, -MAX_MM), MAX_MM) for p, d in zip(inst.box.position, jitter))
+            box = OrientedBox(position, inst.box.size, inst.box.rotation_deg)
             jittered.append(PrimitiveInstance(inst.model_id, box, inst.name, inst.params))
         instances = jittered
 
@@ -272,7 +277,7 @@ def perturb(
         for _ in range(add_count):
             model_id = str(rng.choice(list(catalog.model_ids)))
             schema = catalog.require(model_id)
-            position = tuple(float(rng.uniform(lo[a], hi[a])) for a in range(3))
+            position = tuple(min(max(rng.uniform(lo[a], hi[a]), -MAX_MM), MAX_MM) for a in range(3))
             size = tuple(float(rng.uniform(50.0, 600.0)) for _ in range(3))
             instances.append(
                 make_instance(

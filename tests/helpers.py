@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cabinetkit import CabinetModel, OrientedBox, SynthSpec, generate, make_instance
-from cabinetkit.geometry import CLIP_EPS, Point2, box_footprint, merge_segments, view_axes
+from cabinetkit.geometry import CLIP_EPS, Point2, merge_segments
 
 
 def awkward_text(min_size: int = 0, line_breaks: bool = True):
@@ -62,6 +62,19 @@ def aabb_iou_oracle(a: OrientedBox, b: OrientedBox) -> float:
     va = float(np.prod(hi_a - lo_a))
     vb = float(np.prod(hi_b - lo_b))
     return inter / (va + vb - inter)
+
+
+def box_footprint(box: OrientedBox) -> list[Point2]:
+    """CCW xy footprint of the box (4 vertices), corner by corner: the reference."""
+    if box.rotation_deg % 90.0 == 0.0:
+        quarter = int(box.rotation_deg // 90.0)
+        c, s = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[quarter]
+    else:
+        c, s = math.cos(math.radians(box.rotation_deg)), math.sin(math.radians(box.rotation_deg))
+    hx, hy = box.size[0] / 2.0, box.size[1] / 2.0
+    px, py = box.position[0], box.position[1]
+    return [(px + c * lx - s * ly, py + s * lx + c * ly)
+            for lx, ly in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))]
 
 
 def polygon_area(poly: Iterable[Point2]) -> float:
@@ -193,9 +206,13 @@ _BOX_EDGES = (
 )
 
 
+#: World axis indices (horizontal, vertical) of each view's drawing plane.
+_VIEW_AXES = {"front": (0, 2), "top": (0, 1), "side": (1, 2), "section": (0, 2)}
+
+
 def project_box_oracle(box: OrientedBox, view: str):
-    """`project_box` by projecting all 12 box edges: the reference."""
-    ax_h, ax_v = view_axes(view)
+    """One box's merged wireframe, by projecting all 12 box edges: the reference."""
+    ax_h, ax_v = _VIEW_AXES[view]
     corners = box_corners(box)
     segments = []
     for i, j in _BOX_EDGES:

@@ -4,8 +4,10 @@ Each input is a synthesized program in one syntax, plain or tilted, with
 one to three mutations: a number replaced (0, 0.05, a bound of the box
 domain or one ulp past it, 41, 309 or 400 digits, or the number negated),
 a line dropped or duplicated, or a character cut or inserted. A mutant
-that parses goes through validation, IoU, evaluation, the codec, drawing
-and both emitters.
+that parses goes through validation, IoU, evaluation, the codec, both
+emitters, and `perturb` followed by drawing. The perturbation, the views,
+the noise and its seed, and the SVG layers are drawn too, from their
+domains and the ends of them.
 
 The oracle: no exception but the documented ones (`CodecError`, `KeyError`
 for an ID outside the catalog, `ValueError` from `emit_python` for a line
@@ -18,6 +20,7 @@ import functools
 import math
 import re
 import time
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 
 from cabinetkit import (
     NoiseSpec,
+    PerturbSpec,
     SynthSpec,
     annotate,
     decode,
@@ -39,12 +43,14 @@ from cabinetkit import (
     parse_commands,
     parse_python,
     parse_yaml,
+    perturb,
     render_views,
     to_svg,
     validate,
 )
 from cabinetkit.codec import CodecError
-from cabinetkit.geometry import VIEW_KINDS, pairwise_iou
+from cabinetkit.drawing import LAYERS
+from cabinetkit.geometry import MAX_MM, VIEW_KINDS, pairwise_iou
 from helpers import tilted
 
 #: Wall-clock bound for one input, parse to SVG, in seconds.
@@ -115,11 +121,38 @@ def mutants(draw, syntax):
     return text, model
 
 
+class StageInputs(NamedTuple):
+    """What the stages after parsing take besides the model; the defaults change nothing."""
+
+    perturbation: PerturbSpec = PerturbSpec()
+    views: tuple[str, ...] = VIEW_KINDS
+    noise: NoiseSpec = NoiseSpec()
+    noise_seed: int = 0
+    layers: frozenset[str] = LAYERS
+
+
+_RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+_LENGTHS_MM = st.sampled_from([0.0, 1.0, MAX_MM]) | st.floats(0.0, MAX_MM)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def stage_inputs(draw):
+    """`StageInputs` from the domain of each: 1 to 5 views, any layers, rates and lengths."""
+    return StageInputs(
+        perturbation=PerturbSpec(draw(_SEEDS), draw(_LENGTHS_MM), *(draw(_RATES) for _ in range(4))),
+        views=tuple(draw(st.lists(st.sampled_from(VIEW_KINDS), min_size=1, max_size=5))),
+        noise=NoiseSpec(draw(_RATES), draw(_LENGTHS_MM), draw(_RATES)),
+        noise_seed=draw(_SEEDS),
+        layers=frozenset(draw(st.sets(st.sampled_from(sorted(LAYERS))))),
+    )
+
+
 def _check_scores(matrix):
     assert ((matrix >= 0.0) & (matrix <= 1.0)).all(), matrix  # False for NaN
 
 
-def exercise(text: str, syntax: str, source, catalog) -> None:
+def exercise(text: str, syntax: str, source, catalog, inputs: StageInputs) -> None:
     """Run `text` through every stage after parsing and check the oracle."""
     result = SYNTAXES[syntax][1](text, catalog)
     model = result.model
@@ -143,20 +176,24 @@ def exercise(text: str, syntax: str, source, catalog) -> None:
     else:
         assert decode(parse_commands(format_commands(sequence)), catalog) == decode(sequence, catalog)
 
-    views = annotate(render_views(model, list(VIEW_KINDS)), model, catalog)
-    svg = to_svg(layout_sheet(inject_noise(views, NoiseSpec(), seed=0)))
-    assert "nan" not in svg.lower() and "inf" not in svg.lower()
-
     emit_yaml(model, catalog)
     try:
         emit_python(model, catalog)
     except ValueError as exc:
         assert "cannot emit a line break" in str(exc)
 
+    perturbed = perturb(model, inputs.perturbation, catalog)
+    _check_scores(pairwise_iou([instance.box for instance in perturbed.instances], boxes))
+    evaluate_sample(perturbed, model, catalog)
+    views = annotate(render_views(perturbed, list(inputs.views)), perturbed, catalog)
+    noisy = inject_noise(views, inputs.noise, seed=inputs.noise_seed)
+    svg = to_svg(layout_sheet(noisy), inputs.layers)
+    assert "nan" not in svg.lower() and "inf" not in svg.lower()
 
-def _timed(text, syntax, source, catalog):
+
+def _timed(text, syntax, source, catalog, inputs):
     start = time.perf_counter()
-    exercise(text, syntax, source, catalog)
+    exercise(text, syntax, source, catalog, inputs)
     assert time.perf_counter() - start < BOUND_S
 
 
@@ -165,7 +202,7 @@ def _timed(text, syntax, source, catalog):
 @settings(max_examples=400, deadline=None)
 def test_mutated_programs_keep_the_oracle(catalog, syntax, data):
     text, source = data.draw(mutants(syntax))
-    _timed(text, syntax, source, catalog)
+    _timed(text, syntax, source, catalog, data.draw(stage_inputs()))
 
 
 def _side_program(syntax, position, size, rotation):
@@ -194,4 +231,4 @@ FOUND = [
                          ids=["1e40-tall", "1e300-deep", "x-1e20", "y-1e308", "tiny-far", "bounds-overflow"])
 def test_found_mutants_keep_the_oracle(catalog, syntax, position, size, rotation):
     text = _side_program(syntax, position, size, rotation)
-    _timed(text, syntax, generate(SynthSpec(seed=0), catalog), catalog)
+    _timed(text, syntax, generate(SynthSpec(seed=0), catalog), catalog, StageInputs())

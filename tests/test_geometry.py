@@ -26,17 +26,18 @@ from cabinetkit.geometry import (
     BoxError,
     VIEW_KINDS,
     box_bounds,
-    box_footprint,
+    footprints,
     iou3d,
     merge_segments,
     model_aabb,
     pairwise_iou,
-    project_box,
+    project_boxes,
 )
 from cabinetkit.metrics import iou_matrix
 from helpers import (
     aabb_iou_oracle,
     box_corners,
+    box_footprint,
     clip_convex,
     clip_iou,
     domain_corner_boxes,
@@ -395,6 +396,25 @@ def _domain_corner_side(draw):
     return boxes
 
 
+class TestFootprints:
+    """`footprints` against the corner-by-corner `box_footprint` oracle.
+
+    Boxes at quarter turns, tilted 1e-12 to 12 degrees off one, at any
+    angle, and at the corners of the box domain.
+    """
+
+    @given(st.lists(
+        st.builds(OrientedBox, st.tuples(*[DOMAIN_POSITIONS] * 3), st.tuples(*[DOMAIN_SIZES] * 3),
+                  _rotations() | st.floats(-720.0, 720.0)),
+        max_size=8,
+    ))
+    @example(domain_corner_boxes())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_scalar_footprints_bit_for_bit(self, boxes):
+        expected = np.array([box_footprint(b) for b in boxes]).reshape(len(boxes), 4, 2)
+        assert footprints(boxes).tobytes() == expected.tobytes()
+
+
 class TestPairwiseIoU:
     """The batched kernel against iou3d, the AABB oracle and unfiltered clipping."""
 
@@ -495,20 +515,20 @@ class TestPairwiseIoU:
 
 class TestProjection:
     def test_axis_aligned_front_view_is_rectangle(self):
-        segments = merge_segments(project_box(box((5, 5, 5), (2, 4, 6)), "front"))
+        segments = merge_segments(project_boxes([box((5, 5, 5), (2, 4, 6))], "front"))
         assert len(segments) == 4
 
     def test_rotated_top_view_is_rotated_rectangle(self):
-        segments = project_box(box((0, 0, 0), (2, 4, 2), 45), "top")
+        segments = project_boxes([box((0, 0, 0), (2, 4, 2), 45)], "top")
         assert len(segments) == 4
 
     def test_rotated_front_view_has_interior_lines(self):
-        segments = project_box(box((0, 0, 0), (2, 4, 2), 45), "front")
+        segments = project_boxes([box((0, 0, 0), (2, 4, 2), 45)], "front")
         assert len(segments) == 6
 
     def test_unknown_view_rejected(self):
         with pytest.raises(ValueError):
-            project_box(box((0, 0, 0), (1, 1, 1)), "rear")
+            project_boxes([box((0, 0, 0), (1, 1, 1))], "rear")
 
 
 class TestMergeSegments:
@@ -528,9 +548,7 @@ class TestMergeSegments:
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
-        segments = []
-        for b in (random_box(rng, rotations=(0, 45, 90)) for _ in range(12)):
-            segments.extend(project_box(b, "front"))
+        segments = project_boxes([random_box(rng, rotations=(0, 45, 90)) for _ in range(12)], "front")
         once = merge_segments(segments)
         assert merge_segments(once) == once
 
@@ -663,13 +681,13 @@ TURNS = {
 
 
 class TestProjectionOracle:
-    """`project_box` against projecting all 12 box edges (`project_box_oracle`)."""
+    """`project_boxes` against projecting all 12 box edges (`project_box_oracle`)."""
 
     @given(bounded_boxes())
     @settings(max_examples=500, deadline=None)
     def test_equals_twelve_edge_projection_bit_for_bit(self, b):
         for view in VIEW_KINDS:
-            merged = merge_segments(project_box(b, view))
+            merged = merge_segments(project_boxes([b], view))
             assert _segment_bits(merged) == _segment_bits(project_box_oracle(b, view))
 
     @given(
@@ -686,7 +704,8 @@ class TestProjectionOracle:
             model = _model(catalog, boxes)
         views = render_views(model, list(VIEW_KINDS))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geometry, "project_box", project_box_oracle)
+            patch.setattr(geometry, "project_boxes",
+                          lambda boxes, view: [s for b in boxes for s in project_box_oracle(b, view)])
             reference = render_views(model, list(VIEW_KINDS))
         assert [v.kind for v in views] == [v.kind for v in reference]
         for view, ref in zip(views, reference):

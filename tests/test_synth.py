@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cabinetkit import (
+    CabinetModel,
+    OrientedBox,
     PerturbSpec,
     SynthSpec,
     decode,
@@ -13,6 +15,7 @@ from cabinetkit import (
     evaluate_sample,
     generate,
     iou3d,
+    make_instance,
     parse_python,
     parse_yaml,
     perturb,
@@ -21,6 +24,7 @@ from cabinetkit import (
 )
 from cabinetkit.catalog import validate_params
 from cabinetkit.diagnostics import has_errors
+from cabinetkit.geometry import MAX_MM
 
 
 class TestGenerate:
@@ -148,6 +152,37 @@ class TestPerturb:
         message = f"pos_sigma_mm must lie in [0, 1e+06] mm, got {sigma!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PerturbSpec(pos_sigma_mm=sigma)
+
+    @pytest.mark.parametrize("name", ["id_swap_rate", "drop_rate", "add_rate", "param_corrupt_rate"])
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.1, 1.5])
+    def test_rate_outside_the_unit_interval_names_field_and_value(self, name, rate):
+        message = f"{name} must lie in [0, 1], got {rate!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PerturbSpec(**{name: rate})
+
+    def test_wide_jitter_keeps_boxes_in_the_domain(self, catalog):
+        model = generate(SynthSpec(seed=0), catalog)
+        jittered = perturb(model, PerturbSpec(seed=0, pos_sigma_mm=MAX_MM), catalog)
+        positions = [p for inst in jittered.instances for p in inst.box.position]
+        assert len(jittered.instances) == len(model.instances)
+        assert MAX_MM in map(abs, positions)
+
+    def test_jitter_clamps_only_components_past_the_edge(self, catalog):
+        edge = OrientedBox((999995.0, 300.0, 900.0), (18.0, 400.0, 2000.0))
+        model = CabinetModel((make_instance(catalog, "M-SIDE", edge),))
+        jittered = perturb(model, PerturbSpec(seed=3, pos_sigma_mm=10.0), catalog)
+        _, dy, dz = np.random.default_rng(3).normal(0.0, 10.0, size=3)  # dx is past 5 mm
+        assert jittered.instances[0].box.position == (MAX_MM, 300.0 + dy, 900.0 + dz)
+
+    @pytest.mark.parametrize("seed", [1, 4, 5])
+    def test_added_boxes_stay_in_the_domain(self, catalog, seed):
+        # The model's bounds reach 1.5e6 mm in x, past the position domain.
+        edge = OrientedBox((MAX_MM, 300.0, 900.0), (MAX_MM, 400.0, 2000.0))
+        model = CabinetModel((make_instance(catalog, "M-SIDE", edge),))
+        more = perturb(model, PerturbSpec(seed=seed, add_rate=1.0), catalog)
+        assert more.instances[0] == model.instances[0]
+        assert len(more.instances) == 2
+        assert more.instances[1].box.position[0] == MAX_MM
 
 
 
