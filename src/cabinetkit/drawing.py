@@ -124,6 +124,10 @@ class ViewDrawing:
 def render_views(model: CabinetModel, views: list[str]) -> list[ViewDrawing]:
     """Draw each requested view: its boxes' wireframes, merged once.
 
+    Exact duplicate segments are dropped before the merge; the merge keeps
+    the first of equal intervals and no later one extends it, so the
+    drawing is the same.
+
     A ``section`` view draws, front-style, only the instances whose box
     reaches behind the cut plane at the model's mid depth, that is whose
     largest world y is greater than the midpoint of the model's y extent.
@@ -136,6 +140,8 @@ def render_views(model: CabinetModel, views: list[str]) -> list[ViewDrawing]:
             cut = (lo[:, 1].min() + hi[:, 1].max()) / 2.0
             drawn = tuple(np.flatnonzero(hi[:, 1] > cut).tolist())
         segments = geometry.project_boxes([model.instances[i].box for i in drawn], kind)
+        # Exact duplicates (a right-angle box's verticals) add nothing to the merge.
+        segments = dict.fromkeys(segments)
         out.append(ViewDrawing(kind, geometry.merge_segments(segments), drawn=drawn))
     return out
 
@@ -234,7 +240,11 @@ class NoiseSpec:
 
 
 def inject_noise(views: list[ViewDrawing], spec: NoiseSpec, seed: int) -> list[ViewDrawing]:
-    """Deterministically degrade the geometry layer; annotations untouched."""
+    """Deterministically degrade the geometry layer; annotations untouched.
+
+    Each kept segment's endpoints move by one row of normal jitter, taken as
+    Python floats, so the noisy geometry stays Python floats.
+    """
     if seed < 0:
         raise ValueError(f"noise seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
@@ -245,9 +255,9 @@ def inject_noise(views: list[ViewDrawing], spec: NoiseSpec, seed: int) -> list[V
             if rng.random() < spec.p_drop:
                 continue
             if spec.jitter_sigma > 0:
-                jitter = rng.normal(0.0, spec.jitter_sigma, size=4)
-                p = (p[0] + jitter[0], p[1] + jitter[1])
-                q = (q[0] + jitter[2], q[1] + jitter[3])
+                jx0, jy0, jx1, jy1 = rng.normal(0.0, spec.jitter_sigma, size=4).tolist()
+                p = (p[0] + jx0, p[1] + jy0)
+                q = (q[0] + jx1, q[1] + jy1)
             segments.append((p, q))
         if spec.p_spurious > 0 and view.segments:
             bbox = _segments_bbox(view.segments)
@@ -412,7 +422,10 @@ def _layout_grid(views) -> Sheet:
 
 
 def _fmt(value: float) -> str:
-    text = f"{value:.2f}".rstrip("0").rstrip(".")
+    text = f"{value:.2f}"
+    if text[-1] != "0":
+        return text
+    text = text.rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
 
 
@@ -431,9 +444,14 @@ def to_svg(sheet: Sheet, layers: frozenset[str] = LAYERS) -> str:
             f'<g id="geometry" fill="none" stroke="{GEOMETRY_COLOR}" '
             f'stroke-width="{_fmt(GEOMETRY_STROKE_PX)}">'
         )
+        scale = sheet.scale
         for placed in sheet.views:
-            for p, q in placed.view.segments:
-                lines.append(_svg_line(sheet.to_px(placed, p), sheet.to_px(placed, q)))
+            dx, dy = placed.dx, placed.dy
+            for p, q in placed.view.segments:  # `Sheet.to_px`, inlined
+                lines.append(
+                    f'<line x1="{_fmt(scale * p[0] + dx)}" y1="{_fmt(dy - scale * p[1])}" '
+                    f'x2="{_fmt(scale * q[0] + dx)}" y2="{_fmt(dy - scale * q[1])}"/>'
+                )
         lines.append("</g>")
     if "annotation" in layers:
         lines.append(
@@ -452,25 +470,28 @@ def to_svg(sheet: Sheet, layers: frozenset[str] = LAYERS) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_line(a: Point2, b: Point2) -> str:
-    return (
-        f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-        f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
-    )
+def _svg_line(a: tuple[str, str], b: tuple[str, str]) -> str:
+    """A line between two points given as formatted (x, y) text."""
+    return f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}"/>'
 
 
 def _svg_dimension(sheet: Sheet, placed: PlacedView, dim: DimensionSet):
     line_a, line_b = dim.line_points()
-    start_px = sheet.to_px(placed, dim.start)
-    end_px = sheet.to_px(placed, dim.end)
+    start_x, start_y = sheet.to_px(placed, dim.start)
+    end_x, end_y = sheet.to_px(placed, dim.end)
     a_px = sheet.to_px(placed, line_a)
     b_px = sheet.to_px(placed, line_b)
+    # Each point is formatted once, though lines and arrows share them.
+    start = (_fmt(start_x), _fmt(start_y))
+    end = (_fmt(end_x), _fmt(end_y))
+    a = (_fmt(a_px[0]), _fmt(a_px[1]))
+    b = (_fmt(b_px[0]), _fmt(b_px[1]))
     out = [
-        _svg_line(start_px, a_px),
-        _svg_line(end_px, b_px),
-        _svg_line(a_px, b_px),
-        _svg_arrow(a_px, b_px),
-        _svg_arrow(b_px, a_px),
+        _svg_line(start, a),
+        _svg_line(end, b),
+        _svg_line(a, b),
+        _svg_arrow(a_px, b_px, a),
+        _svg_arrow(b_px, a_px, b),
     ]
     mid_x = (a_px[0] + b_px[0]) / 2.0
     mid_y = (a_px[1] + b_px[1]) / 2.0
@@ -485,8 +506,8 @@ def _svg_dimension(sheet: Sheet, placed: PlacedView, dim: DimensionSet):
     return out
 
 
-def _svg_arrow(tip: Point2, other: Point2) -> str:
-    """Filled arrowhead at `tip`, pointing away from `other`."""
+def _svg_arrow(tip: Point2, other: Point2, tip_text: tuple[str, str]) -> str:
+    """Filled arrowhead at `tip` (formatted as `tip_text`), pointing away from `other`."""
     ux, uy = _unit(other, tip)
     bx = tip[0] - ux * ARROW_PX
     by = tip[1] - uy * ARROW_PX
@@ -494,7 +515,7 @@ def _svg_arrow(tip: Point2, other: Point2) -> str:
     p1 = (bx - uy * half, by + ux * half)
     p2 = (bx + uy * half, by - ux * half)
     return (
-        f'<path d="M {_fmt(tip[0])} {_fmt(tip[1])} L {_fmt(p1[0])} {_fmt(p1[1])} '
+        f'<path d="M {tip_text[0]} {tip_text[1]} L {_fmt(p1[0])} {_fmt(p1[1])} '
         f'L {_fmt(p2[0])} {_fmt(p2[1])} Z" fill="{ANNOTATION_COLOR}" stroke="none"/>'
     )
 

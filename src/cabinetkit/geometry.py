@@ -19,6 +19,7 @@ against itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -178,16 +179,17 @@ def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox])
     footprint's area and z interval, capped so the score stays in [0, 1].
     The clipping runs only for pairs that overlap in z and whose xy bounds
     are not apart by more than the clipping tolerance can bridge, and all of
-    a call's pairs are clipped at once (`_clip_areas`), from one `footprints`
-    call per side, each area worked out once. Pairs that only touch (zero-volume intersection) score 0, exactly so when both boxes
-    are at right angles or the touch is in z. Every score is finite because
-    every box lies in the `OrientedBox` domain.
+    a call's pairs are clipped at once (`_clip_areas`), from each side's
+    footprints, built once per call and shared with its bounds, each area
+    worked out once. Pairs that only touch (zero-volume intersection) score
+    0, exactly so when both boxes are at right angles or the touch is in z.
+    Every score is finite because every box lies in the `OrientedBox` domain.
     """
     iou = np.zeros((len(boxes_a), len(boxes_b)))
     if iou.size == 0:
         return iou
-    lo_a, hi_a, right_a = box_bounds(boxes_a)
-    lo_b, hi_b, right_b = box_bounds(boxes_b)
+    lo_a, hi_a, right_a, feet_a = _bounds_and_footprints(boxes_a)
+    lo_b, hi_b, right_b, feet_b = _bounds_and_footprints(boxes_b)
     # Every pair takes the AABB arithmetic, and only right-angle pairs that
     # overlap keep it.
     overlap = np.minimum(hi_a[:, None], hi_b[None]) - np.maximum(lo_a[:, None], lo_b[None])
@@ -206,7 +208,8 @@ def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox])
     rows, cols = np.nonzero(~right & (oz > 0) & (ox > -_REACH_MM) & (oy > -_REACH_MM))
     if rows.size == 0:
         return iou
-    feet_a, feet_b = footprints(boxes_a), footprints(boxes_b)
+    feet_a = _all_footprints(boxes_a, right_a, feet_a)
+    feet_b = _all_footprints(boxes_b, right_b, feet_b)
     # Lanes whose crossing is inf or NaN (an edge not crossed) are multiplied
     # before `_clip_areas` drops them.
     with np.errstate(invalid="ignore"):
@@ -319,6 +322,14 @@ def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np
     on odd quarter turns), which is bit-identical to its corners; a rotated
     box's xy bounds come from its `footprints` corners.
     """
+    lo, hi, right, _ = _bounds_and_footprints(boxes)
+    return lo, hi, right
+
+
+def _bounds_and_footprints(
+    boxes: Sequence[OrientedBox],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`box_bounds`, plus the footprints of the rotated boxes, shape (rotated, 4, 2)."""
     n = len(boxes)
     position = np.array([box.position for box in boxes]).reshape(n, 3)
     half = np.array([box.size for box in boxes]).reshape(n, 3) / 2.0
@@ -329,11 +340,27 @@ def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np
     lo = position - half
     hi = position + half
     rotated = np.flatnonzero(~right)
+    feet = np.empty((0, 4, 2))
     if rotated.size:
         feet = footprints([boxes[i] for i in rotated.tolist()])
         lo[rotated, :2] = feet.min(axis=1)
         hi[rotated, :2] = feet.max(axis=1)
-    return lo, hi, right
+    return lo, hi, right, feet
+
+
+def _all_footprints(
+    boxes: Sequence[OrientedBox], right: np.ndarray, rotated_feet: np.ndarray
+) -> np.ndarray:
+    """`footprints(boxes)`, reusing the rotated boxes' rows that `_bounds_and_footprints` built.
+
+    `footprints` works box by box, so every row equals the whole-list call's.
+    """
+    feet = np.empty((len(boxes), 4, 2))
+    feet[~right] = rotated_feet
+    square = np.flatnonzero(right)
+    if square.size:
+        feet[square] = footprints([boxes[i] for i in square.tolist()])
+    return feet
 
 
 def iou3d(a: OrientedBox, b: OrientedBox) -> float:
@@ -357,9 +384,9 @@ def project_boxes(boxes: Sequence[OrientedBox], view: str) -> list[Segment]:
     span the footprint along the view's horizontal axis: a horizontal across
     that span at each end of the z interval, then a vertical over the z
     interval at each footprint corner. A right-angle box thus gives each
-    vertical twice in `front`, `side` and `section`; `render_views` merges
-    each view once, which removes them and drops segments no longer than
-    CLIP_EPS.
+    vertical twice in `front`, `side` and `section`; `render_views` drops
+    these exact duplicates and then merges each view once, which also drops
+    segments no longer than CLIP_EPS.
     """
     ax_h, _ = view_axes(view)
     segments: list[Segment] = []
@@ -382,10 +409,6 @@ def view_axes(view: str) -> tuple[int, int]:
         raise ValueError(f"unknown view kind {view!r}") from None
 
 
-def _dist2(p: Point2, q: Point2) -> float:
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-
-
 #: Rounding (decimal places) used to group segments onto the same carrier line.
 _LINE_KEY_DECIMALS = 6
 
@@ -398,31 +421,53 @@ def merge_segments(segments: Iterable[Segment]) -> list[Segment]:
     A carrier line is keyed by direction and offset rounded to 6 decimals, so
     a merged tilted segment shorter than that can get a different key. The
     result is sorted deterministically by carrier line and position along it.
+
+    A horizontal or vertical segment takes its key and positions straight
+    from its coordinates: (1, 0, y) along x, or (0, 1, -x) along y, with the
+    offset still rounded to 6 decimals. These equal by value the direction,
+    offset and projections that any other segment works out with `hypot`.
     """
+    eps2 = CLIP_EPS * CLIP_EPS
     groups: dict[tuple, list[tuple[float, float, Point2, Point2]]] = {}
     for p, q in segments:
-        if _dist2(p, q) <= CLIP_EPS * CLIP_EPS:
-            continue
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        norm = math.hypot(dx, dy)
-        ux, uy = dx / norm, dy / norm
-        if uy < 0 or (uy == 0 and ux < 0):  # canonical direction
-            ux, uy = -ux, -uy
-            p, q = q, p
-        # Carrier line key: direction plus signed offset from the origin.
-        offset = ux * p[1] - uy * p[0]
-        key = (
-            round(ux, _LINE_KEY_DECIMALS),
-            round(uy, _LINE_KEY_DECIMALS),
-            round(offset, _LINE_KEY_DECIMALS),
-        )
-        t0 = p[0] * ux + p[1] * uy
-        t1 = q[0] * ux + q[1] * uy
+        if p[1] == q[1]:  # horizontal: direction (1, 0)
+            if (p[0] - q[0]) ** 2 <= eps2:
+                continue
+            if q[0] < p[0]:
+                p, q = q, p
+            key = (1.0, 0.0, round(p[1], _LINE_KEY_DECIMALS))
+            t0, t1 = p[0], q[0]
+        elif p[0] == q[0]:  # vertical: direction (0, 1)
+            if (p[1] - q[1]) ** 2 <= eps2:
+                continue
+            if q[1] < p[1]:
+                p, q = q, p
+            key = (0.0, 1.0, round(-p[0], _LINE_KEY_DECIMALS))
+            t0, t1 = p[1], q[1]
+        else:
+            dx, dy = q[0] - p[0], q[1] - p[1]
+            if dx**2 + dy**2 <= eps2:
+                continue
+            norm = math.hypot(dx, dy)
+            ux, uy = dx / norm, dy / norm
+            if uy < 0 or (uy == 0 and ux < 0):  # canonical direction
+                ux, uy = -ux, -uy
+                p, q = q, p
+            # Carrier line key: direction plus signed offset from the origin.
+            offset = ux * p[1] - uy * p[0]
+            key = (
+                round(ux, _LINE_KEY_DECIMALS),
+                round(uy, _LINE_KEY_DECIMALS),
+                round(offset, _LINE_KEY_DECIMALS),
+            )
+            t0 = p[0] * ux + p[1] * uy
+            t1 = q[0] * ux + q[1] * uy
         groups.setdefault(key, []).append((t0, t1, p, q))
 
     merged: list[Segment] = []
+    by_position = operator.itemgetter(0, 1)
     for key in sorted(groups):
-        intervals = sorted(groups[key], key=lambda item: (item[0], item[1]))
+        intervals = sorted(groups[key], key=by_position)
         current = None
         for t0, t1, p, q in intervals:
             if current is None:

@@ -379,10 +379,15 @@ def format_box_number(value: float) -> str:
 
 
 def format_positional(value: float) -> str:
-    """Shortest decimal that reads back as exactly `value`, with no exponent."""
+    """Shortest decimal that reads back as exactly `value`, with no exponent.
+
+    That is `repr(value)` itself unless it has an exponent, which `Decimal`
+    then writes out in positional form.
+    """
     if not math.isfinite(value):
         raise ValueError("non-finite numbers cannot be serialized")
-    return format(Decimal(repr(value)), "f")
+    text = repr(value)
+    return text if "e" not in text else format(Decimal(text), "f")
 
 
 _PLAIN_SAFE_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\- ]*")

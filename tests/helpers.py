@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cabinetkit import CabinetModel, OrientedBox, SynthSpec, generate, make_instance
-from cabinetkit.geometry import CLIP_EPS, Point2, merge_segments
+from cabinetkit.geometry import CLIP_EPS, Point2, Segment
 
 
 def awkward_text(min_size: int = 0, line_breaks: bool = True):
@@ -220,7 +220,66 @@ def project_box_oracle(box: OrientedBox, view: str):
         q = (float(corners[j][ax_h]), float(corners[j][ax_v]))
         if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 > CLIP_EPS * CLIP_EPS:
             segments.append((p, q))
-    return merge_segments(segments)
+    return merge_segments_oracle(segments)
+
+
+def _dist2(p: Point2, q: Point2) -> float:
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
+#: Rounding (decimal places) used to group segments onto the same carrier line.
+_LINE_KEY_DECIMALS = 6
+
+
+def merge_segments_oracle(segments: Iterable[Segment]) -> list[Segment]:
+    """Merge collinear segments that overlap or touch (within CLIP_EPS): the reference.
+
+    Every segment works out its direction and carrier line with `hypot`.
+
+    Output endpoints are taken verbatim from the inputs (never recomputed),
+    which makes the merge idempotent for segments longer than about 1e-6 mm.
+    A carrier line is keyed by direction and offset rounded to 6 decimals, so
+    a merged tilted segment shorter than that can get a different key. The
+    result is sorted deterministically by carrier line and position along it.
+    """
+    groups: dict[tuple, list[tuple[float, float, Point2, Point2]]] = {}
+    for p, q in segments:
+        if _dist2(p, q) <= CLIP_EPS * CLIP_EPS:
+            continue
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        norm = math.hypot(dx, dy)
+        ux, uy = dx / norm, dy / norm
+        if uy < 0 or (uy == 0 and ux < 0):  # canonical direction
+            ux, uy = -ux, -uy
+            p, q = q, p
+        # Carrier line key: direction plus signed offset from the origin.
+        offset = ux * p[1] - uy * p[0]
+        key = (
+            round(ux, _LINE_KEY_DECIMALS),
+            round(uy, _LINE_KEY_DECIMALS),
+            round(offset, _LINE_KEY_DECIMALS),
+        )
+        t0 = p[0] * ux + p[1] * uy
+        t1 = q[0] * ux + q[1] * uy
+        groups.setdefault(key, []).append((t0, t1, p, q))
+
+    merged: list[Segment] = []
+    for key in sorted(groups):
+        intervals = sorted(groups[key], key=lambda item: (item[0], item[1]))
+        current = None
+        for t0, t1, p, q in intervals:
+            if current is None:
+                current = [t0, t1, p, q]
+                continue
+            if t0 <= current[1] + CLIP_EPS:
+                if t1 > current[1]:
+                    current[1], current[3] = t1, q
+            else:
+                merged.append((current[2], current[3]))
+                current = [t0, t1, p, q]
+        if current is not None:
+            merged.append((current[2], current[3]))
+    return merged
 
 
 def random_box(rng, *, lo=50.0, hi=2000.0, min_size=30.0, max_size=800.0,

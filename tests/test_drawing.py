@@ -3,6 +3,8 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cabinetkit import (
     CabinetModel,
@@ -18,6 +20,7 @@ from cabinetkit.drawing import (
     DimensionSet,
     NoiseSpec,
     SymbolMark,
+    _fmt,
     annotate,
     inject_noise,
     layout_sheet,
@@ -263,6 +266,12 @@ class TestNoise:
         svg = to_svg(layout_sheet(noisy))
         assert "nan" not in svg and "inf" not in svg
 
+    def test_noisy_geometry_is_python_floats(self, simple_model):
+        views = render_views(simple_model, ["front", "top", "side"])
+        noisy = inject_noise(views, NoiseSpec(0.1, 1.5, 0.3), seed=5)
+        coords = [c for view in noisy for segment in view.segments for point in segment for c in point]
+        assert coords and {type(c) for c in coords} == {float}
+
     def test_negative_seed_rejected(self, simple_model):
         with pytest.raises(ValueError, match=r"^noise seed must be non-negative, got -1$"):
             inject_noise(render_views(simple_model, ["front"]), NoiseSpec(), seed=-1)
@@ -327,3 +336,15 @@ class TestSvg:
             return to_svg(layout_sheet(noisy))
 
         assert run() == run()
+
+
+@given(st.floats(-1e4, 1e4) | st.floats(allow_nan=False))
+@settings(max_examples=1000, deadline=None)
+@example(-0.004)
+@example(-0.005)
+@example(10.0)
+@example(0.10)
+@example(-100.5)
+def test_fmt_is_fixed_point_with_zeros_stripped(value):
+    text = f"{value:.2f}".rstrip("0").rstrip(".")
+    assert _fmt(value) == ("0" if text == "-0" else text)

@@ -41,6 +41,7 @@ from helpers import (
     clip_convex,
     clip_iou,
     domain_corner_boxes,
+    merge_segments_oracle,
     polygon_area,
     project_box_oracle,
     random_box,
@@ -436,6 +437,19 @@ class TestPairwiseIoU:
                 else:
                     assert matrix[i, j] == clip_iou(a, b)
 
+    @pytest.mark.parametrize("rotations", [RIGHT_ANGLES, MIXED_ROTATIONS, (30.0,)])
+    def test_builds_each_footprint_at_most_once(self, rotations):
+        rng = np.random.default_rng(4)
+        side_a, side_b = _boxes(rng, rotations, 12), _boxes(rng, rotations, 9)
+        built = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "footprints", lambda boxes: built.extend(boxes) or footprints(boxes))
+            matrix = pairwise_iou(side_a, side_b)
+        assert matrix.tobytes() == pairwise_iou(side_a, side_b).tobytes()
+        assert len(built) <= len(side_a) + len(side_b)
+        if rotations is RIGHT_ANGLES:
+            assert built == []
+
     def test_xy_prefilter_keeps_what_clipping_bridges(self):
         # A box tilted by a hair, its corner within the clipping tolerance
         # of an axis-aligned face: clipping may score a sliver although the
@@ -531,7 +545,69 @@ class TestProjection:
             project_boxes([box((0, 0, 0), (1, 1, 1))], "rear")
 
 
+#: Coordinates of drawn segments: ints, signed zeros, domain ends and floats.
+_MERGE_COORDS = st.one_of(
+    st.integers(-20, 20),
+    st.sampled_from((0.0, -0.0, 0.5, -3.25, MAX_MM, -MAX_MM)),
+    st.floats(-1e3, 1e3),
+)
+#: Segment lengths and chain gaps around CLIP_EPS, and ordinary ones.
+_MERGE_STEPS = st.sampled_from((
+    0, 0.0, -0.0, CLIP_EPS / 2, CLIP_EPS, math.nextafter(CLIP_EPS, 1.0), 2 * CLIP_EPS,
+    1e-6, 1, 2.5, 400.0,
+))
+
+
+@st.composite
+def merge_inputs(draw):
+    """Horizontal, vertical and tilted segments, reversed, repeated, chained and shifted."""
+    segments = []
+    kinds = ("horizontal", "vertical", "tilted", "duplicate", "chain", "shifted")
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("duplicate", "chain", "shifted") and segments:
+            p, q = draw(st.sampled_from(segments))
+            if kind == "shifted":  # move the segment across its carrier key's rounding
+                shift = draw(st.sampled_from((CLIP_EPS, 4e-7, 4e-6, -4e-6)))
+                p, q = (p[0] + shift, p[1] + shift), (q[0] + shift, q[1] + shift)
+            elif kind == "chain":  # continue the segment after a gap
+                gap, length = draw(_MERGE_STEPS), draw(_MERGE_STEPS)
+                dx, dy = q[0] - p[0], q[1] - p[1]
+                if dy == 0:
+                    p, q = (q[0] + gap, q[1]), (q[0] + gap + length, q[1])
+                elif dx == 0:
+                    p, q = (q[0], q[1] + gap), (q[0], q[1] + gap + length)
+                else:
+                    p, q = (q[0] + gap, q[1]), (q[0] + gap + dx, q[1] + dy)
+        else:
+            p = (draw(_MERGE_COORDS), draw(_MERGE_COORDS))
+            length = draw(_MERGE_STEPS)
+            if kind == "horizontal":
+                q = (p[0] + length, p[1])
+            elif kind == "vertical":
+                q = (p[0], p[1] + length)
+            else:
+                q = (draw(_MERGE_COORDS), draw(_MERGE_COORDS))
+        segments.append((q, p) if draw(st.booleans()) else (p, q))
+    return segments
+
+
 class TestMergeSegments:
+    @given(merge_inputs())
+    @settings(max_examples=1000, deadline=None)
+    @example([((0, 0), (CLIP_EPS, 0)), ((0.0, -0.0), (5, 0.0)), ((5, 0.0), (0.0, 0.0))])
+    @example([((-0.0, 3), (-0.0, 1)), ((0.0, 1), (0, 3.0)), ((0, 3 + CLIP_EPS), (0, 4))])
+    @example([((1, 1), (1 + CLIP_EPS / 2, 1)), ((2, 2), (2, 2 + math.nextafter(CLIP_EPS, 1.0)))])
+    def test_equals_oracle(self, segments):
+        # `repr` tells ints, floats and zero signs apart.
+        assert repr(merge_segments(segments)) == repr(merge_segments_oracle(segments))
+
+    @given(merge_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_duplicates_change_nothing(self, segments):
+        # `render_views` drops exact duplicates before it merges.
+        assert repr(merge_segments(dict.fromkeys(segments))) == repr(merge_segments(segments))
+
     def test_duplicates_collapse(self):
         seg = ((0.0, 0.0), (10.0, 0.0))
         assert merge_segments([seg, seg]) == [seg]

@@ -1,4 +1,9 @@
+import sys
+from decimal import Decimal
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cabinetkit import ryaml
 from cabinetkit.ryaml import RYamlError
@@ -116,6 +121,25 @@ def test_format_float_keeps_a_decimal_point():
     assert ryaml.format_float(1e16) == "10000000000000000.0"
     with pytest.raises(ValueError):
         ryaml.format_float(float("inf"))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=2000, deadline=None)
+@example(-0.0)
+@example(1e16)
+@example(1e-05)
+@example(123456789012345.67)
+@example(5e-324)
+@example(sys.float_info.max)
+@example(-sys.float_info.min)
+def test_format_positional_equals_decimal_form(value):
+    assert ryaml.format_positional(value) == format(Decimal(repr(value)), "f")
+
+
+def test_format_positional_rejects_non_finite():
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="non-finite"):
+            ryaml.format_positional(value)
 
 
 def test_out_of_range_numbers_rejected_at_the_literal():
