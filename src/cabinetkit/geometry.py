@@ -4,11 +4,13 @@ Coordinate conventions: the up axis is +z, the front of a cabinet faces -y,
 and the world origin sits at a cabinet corner so that valid assemblies lie
 in the first octant. Boxes rotate about the vertical (z) axis only, which
 keeps every overlap query an exact 2D convex-polygon problem times a 1D
-interval overlap. Bounds, clipping and projection all read one footprint
-array (`footprints`). `pairwise_iou` clips all of a call's convex footprint
-pairs at once, as padded numpy arrays (`_clip_areas`), in the float
-operation order of the per-pair Sutherland-Hodgman loop that the tests keep
-as its reference, so its scores equal that loop's bit for bit.
+interval overlap. A box's world extent comes from one routine
+(`box_extents`): field arithmetic for a right-angle box, its footprint's
+corners for a tilted one. Clipping and the projection of tilted boxes read
+one footprint array (`footprints`). `pairwise_iou` clips all of a call's
+convex footprint pairs at once, as padded numpy arrays (`_clip_areas`), in
+the float operation order of the per-pair Sutherland-Hodgman loop that the
+tests keep as its reference, so its scores equal that loop's bit for bit.
 
 All lengths are millimeters. `OrientedBox` admits one domain, positions
 within +-1e6 mm and sizes from 0.1 to 1e6 mm, and the code here relies on
@@ -18,6 +20,7 @@ against itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -50,7 +53,10 @@ MIN_SIZE_MM = 0.1
 _REACH_MM = CLIP_EPS + 4.0 * CLIP_EPS / MIN_SIZE_MM
 
 Point2 = tuple[float, float]
+Point3 = tuple[float, float, float]
 Segment = tuple[Point2, Point2]
+#: A box's world-frame extent: its smallest and its largest (x, y, z).
+Extent = tuple[Point3, Point3]
 
 VIEW_FRONT = "front"
 VIEW_TOP = "top"
@@ -314,14 +320,50 @@ def _ring_area(x: np.ndarray, y: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.where(count >= 3, np.abs(acc) / 2.0, 0.0)
 
 
-def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """World-frame AABBs as (lo, hi), each of shape (n, 3), and the right-angle mask.
+def box_extents(boxes: Sequence[OrientedBox]) -> list[Extent]:
+    """World-frame extent of each box as (lo, hi) float triples.
 
     This is the one place a box's world extent is worked out. A right-angle
-    box's bounds are field arithmetic (center -/+ half size, x and y swapped
-    on odd quarter turns), which is bit-identical to its corners; a rotated
-    box's xy bounds come from its `footprints` corners.
+    box's extent is field arithmetic (center -/+ half size, x and y swapped
+    on odd quarter turns), which equals its corners bit for bit; a tilted
+    box's xy extent comes from its `footprints` corners.
     """
+    return _extents_and_rings(boxes)[0]
+
+
+def _field_extents(boxes: Sequence[OrientedBox]) -> tuple[list[Extent], list[int]]:
+    """Each box's center -/+ half size, x and y swapped on odd quarter turns.
+
+    Also returns the indices of the tilted boxes, whose xy this gets wrong.
+    """
+    extents: list[Extent] = []
+    tilted: list[int] = []
+    for index, box in enumerate(boxes):
+        (px, py, pz), (sx, sy, sz), rotation = box.position, box.size, box.rotation_deg
+        if rotation == 90.0 or rotation == 270.0:  # rotations lie in [0, 360)
+            sx, sy = sy, sx
+        elif rotation != 0.0 and rotation != 180.0:
+            tilted.append(index)
+        hx, hy, hz = sx / 2.0, sy / 2.0, sz / 2.0
+        extents.append(((px - hx, py - hy, pz - hz), (px + hx, py + hy, pz + hz)))
+    return extents, tilted
+
+
+def _extents_and_rings(
+    boxes: Sequence[OrientedBox],
+) -> tuple[list[Extent], list[int], list[list[list[float]]]]:
+    """`box_extents`, the tilted boxes' indices and their footprints as lists."""
+    extents, tilted = _field_extents(boxes)
+    rings = footprints([boxes[i] for i in tilted]).tolist() if tilted else []
+    for index, ring in zip(tilted, rings):
+        xs, ys = [x for x, _ in ring], [y for _, y in ring]
+        (_, _, z0), (_, _, z1) = extents[index]
+        extents[index] = ((min(xs), min(ys), z0), (max(xs), max(ys), z1))
+    return extents, tilted, rings
+
+
+def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`box_extents` as arrays: (lo, hi), each of shape (n, 3), and the right-angle mask."""
     lo, hi, right, _ = _bounds_and_footprints(boxes)
     return lo, hi, right
 
@@ -329,22 +371,22 @@ def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np
 def _bounds_and_footprints(
     boxes: Sequence[OrientedBox],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`box_bounds`, plus the footprints of the rotated boxes, shape (rotated, 4, 2)."""
-    n = len(boxes)
-    position = np.array([box.position for box in boxes]).reshape(n, 3)
-    half = np.array([box.size for box in boxes]).reshape(n, 3) / 2.0
-    rotation = np.array([box.rotation_deg for box in boxes])
-    right = rotation % 90.0 == 0.0
-    odd = (rotation == 90.0) | (rotation == 270.0)
-    half[odd, :2] = half[odd, 1::-1]
-    lo = position - half
-    hi = position + half
-    rotated = np.flatnonzero(~right)
+    """`box_bounds`, plus the footprints of the tilted boxes, shape (tilted, 4, 2).
+
+    The tilted boxes' xy bounds are their footprints' in numpy, as in
+    `box_extents`, with no round trip through Python floats.
+    """
+    extents, tilted = _field_extents(boxes)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(extents))
+    bounds = np.fromiter(flat, float, 6 * len(boxes)).reshape(len(boxes), 2, 3)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    right = np.ones(len(boxes), dtype=bool)
+    right[tilted] = False
     feet = np.empty((0, 4, 2))
-    if rotated.size:
-        feet = footprints([boxes[i] for i in rotated.tolist()])
-        lo[rotated, :2] = feet.min(axis=1)
-        hi[rotated, :2] = feet.max(axis=1)
+    if tilted:
+        feet = footprints([boxes[i] for i in tilted])
+        lo[tilted, :2] = feet.min(axis=1)
+        hi[tilted, :2] = feet.max(axis=1)
     return lo, hi, right, feet
 
 
@@ -373,32 +415,43 @@ def iou3d(a: OrientedBox, b: OrientedBox) -> float:
 
 def model_aabb(model: "CabinetModel") -> tuple[np.ndarray, np.ndarray]:
     """Tight world-frame AABB over all instance boxes of a model."""
-    lo, hi, _ = box_bounds([instance.box for instance in model.instances])
-    return lo.min(axis=0), hi.max(axis=0)
+    extents = box_extents([instance.box for instance in model.instances])
+    lo = np.array([min(column) for column in zip(*(lo for lo, _ in extents))])
+    hi = np.array([max(column) for column in zip(*(hi for _, hi in extents))])
+    return lo, hi
 
 
 def project_boxes(boxes: Sequence[OrientedBox], view: str) -> list[Segment]:
     """Orthographic wireframes of the boxes in a principal view, unmerged.
 
-    Box by box, the top view is the footprint's four edges. The other views
-    span the footprint along the view's horizontal axis: a horizontal across
-    that span at each end of the z interval, then a vertical over the z
-    interval at each footprint corner. A right-angle box thus gives each
-    vertical twice in `front`, `side` and `section`; `render_views` drops
-    these exact duplicates and then merges each view once, which also drops
-    segments no longer than CLIP_EPS.
+    Box by box, a right-angle box is the four edges of its extent's rectangle
+    in the view's plane. A tilted box's top view is its footprint's four
+    edges; its other views span the footprint along the view's horizontal
+    axis: a horizontal across that span at each end of the z interval, then
+    a vertical over the z interval at each footprint corner. `render_views`
+    merges each view once, which also drops segments no longer than
+    CLIP_EPS.
     """
-    ax_h, _ = view_axes(view)
+    ax_h, ax_v = view_axes(view)
+    extents, tilted, rings = _extents_and_rings(boxes)
+    ring_of = dict(zip(tilted, rings))
     segments: list[Segment] = []
-    for box, ring in zip(boxes, footprints(boxes).tolist()):
-        if view == VIEW_TOP:
+    for index, (lo, hi) in enumerate(extents):
+        h0, h1 = lo[ax_h], hi[ax_h]
+        ring = ring_of.get(index)
+        if ring is None:
+            v0, v1 = lo[ax_v], hi[ax_v]
+            segments += (
+                ((h0, v0), (h1, v0)), ((h0, v1), (h1, v1)),
+                ((h0, v0), (h0, v1)), ((h1, v0), (h1, v1)),
+            )
+        elif view == VIEW_TOP:
             corners = list(map(tuple, ring))
             segments += zip(corners, corners[1:] + corners[:1])
         else:
-            z0, z1 = box.z_interval
-            hs = [corner[ax_h] for corner in ring]
-            segments += [((min(hs), z), (max(hs), z)) for z in (z0, z1)]
-            segments += [((h, z0), (h, z1)) for h in hs]
+            z0, z1 = lo[2], hi[2]
+            segments += (((h0, z0), (h1, z0)), ((h0, z1), (h1, z1)))
+            segments += [((corner[ax_h], z0), (corner[ax_h], z1)) for corner in ring]
     return segments
 
 

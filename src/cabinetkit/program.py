@@ -815,8 +815,8 @@ def validate(
     an instance carries its instance's span.
     """
     diags: list[Diagnostic] = []
-    lo, hi, _ = geometry.box_bounds([instance.box for instance in model.instances])
-    lowest = lo.min(axis=1).tolist()
+    extents = geometry.box_extents([instance.box for instance in model.instances])
+    lowest = [min(lo) for lo, _ in extents]
     for index, instance in enumerate(model.instances):
         found: list[Diagnostic] = []
         schema = catalog.get(instance.model_id)
@@ -853,7 +853,9 @@ def validate(
                     f"filter allows at most {MAX_INSTANCES}",
                 )
             )
-        max_dim = float((hi.max(axis=0) - lo.min(axis=0)).max())
+        model_lo = [min(column) for column in zip(*(lo for lo, _ in extents))]
+        model_hi = [max(column) for column in zip(*(hi for _, hi in extents))]
+        max_dim = max(hi - lo for lo, hi in zip(model_lo, model_hi))
         if not SIZE_FILTER_MM[0] <= max_dim <= SIZE_FILTER_MM[1]:
             diags.append(
                 error(

@@ -9,6 +9,22 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cabinetkit import CabinetModel, OrientedBox, SynthSpec, generate, make_instance
+from cabinetkit.drawing import (
+    ANNOTATION_COLOR,
+    ANNOTATION_STROKE_PX,
+    ARROW_PX,
+    DEFAULT_CANVAS_PX,
+    FONT_PX,
+    GEOMETRY_COLOR,
+    GEOMETRY_STROKE_PX,
+    LAYERS,
+    SYMBOL_COLOR,
+    SYMBOL_SHELF_CIRCLE,
+    DimensionSet,
+    PlacedView,
+    Sheet,
+    SymbolMark,
+)
 from cabinetkit.geometry import CLIP_EPS, Point2, Segment
 
 
@@ -317,3 +333,135 @@ def synthesized_models(catalog, seed: int) -> list[CabinetModel]:
         model = generate(spec, catalog)
         models += [model, tilted(model, seed)]
     return models
+
+
+def _fmt(value: float) -> str:
+    text = f"{value:.2f}"
+    if text[-1] != "0":
+        return text
+    text = text.rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
+
+
+def to_svg_oracle(sheet: Sheet, layers: frozenset[str] = LAYERS) -> str:
+    """The former `drawing.to_svg`, formatting every number where it is used: the reference."""
+    if not LAYERS.issuperset(layers):
+        raise ValueError(f"unknown layers: {', '.join(sorted(set(layers) - LAYERS))}")
+    c = DEFAULT_CANVAS_PX
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{c}" height="{c}" '
+        f'viewBox="0 0 {c} {c}">',
+    ]
+    if "geometry" in layers:
+        lines.append(
+            f'<g id="geometry" fill="none" stroke="{GEOMETRY_COLOR}" '
+            f'stroke-width="{_fmt(GEOMETRY_STROKE_PX)}">'
+        )
+        scale = sheet.scale
+        for placed in sheet.views:
+            dx, dy = placed.dx, placed.dy
+            for p, q in placed.view.segments:  # `Sheet.to_px`, inlined
+                lines.append(
+                    f'<line x1="{_fmt(scale * p[0] + dx)}" y1="{_fmt(dy - scale * p[1])}" '
+                    f'x2="{_fmt(scale * q[0] + dx)}" y2="{_fmt(dy - scale * q[1])}"/>'
+                )
+        lines.append("</g>")
+    if "annotation" in layers:
+        lines.append(
+            f'<g id="annotation" fill="none" stroke="{ANNOTATION_COLOR}" '
+            f'stroke-width="{_fmt(ANNOTATION_STROKE_PX)}" '
+            f'font-size="{_fmt(FONT_PX)}">'
+        )
+        for placed in sheet.views:
+            for ann in placed.view.annotations:
+                if isinstance(ann, DimensionSet):
+                    lines.extend(_svg_dimension(sheet, placed, ann))
+                else:
+                    lines.extend(_svg_symbol(sheet, placed, ann))
+        lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _svg_line(a: tuple[str, str], b: tuple[str, str]) -> str:
+    """A line between two points given as formatted (x, y) text."""
+    return f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}"/>'
+
+
+def _svg_dimension(sheet: Sheet, placed: PlacedView, dim: DimensionSet):
+    line_a, line_b = _line_points(dim)
+    start_x, start_y = sheet.to_px(placed, dim.start)
+    end_x, end_y = sheet.to_px(placed, dim.end)
+    a_px = sheet.to_px(placed, line_a)
+    b_px = sheet.to_px(placed, line_b)
+    # Each point is formatted once, though lines and arrows share them.
+    start = (_fmt(start_x), _fmt(start_y))
+    end = (_fmt(end_x), _fmt(end_y))
+    a = (_fmt(a_px[0]), _fmt(a_px[1]))
+    b = (_fmt(b_px[0]), _fmt(b_px[1]))
+    out = [
+        _svg_line(start, a),
+        _svg_line(end, b),
+        _svg_line(a, b),
+        _svg_arrow(a_px, b_px, a),
+        _svg_arrow(b_px, a_px, b),
+    ]
+    mid_x = (a_px[0] + b_px[0]) / 2.0
+    mid_y = (a_px[1] + b_px[1]) / 2.0
+    # Nudge the label off the dimension line, against the px-space normal.
+    ux, uy = _unit(a_px, b_px)
+    tx = mid_x + uy * (FONT_PX * 0.45)
+    ty = mid_y - ux * (FONT_PX * 0.45) if ux != 0 else mid_y - FONT_PX * 0.35
+    out.append(
+        f'<text x="{_fmt(tx)}" y="{_fmt(ty)}" text-anchor="middle" '
+        f'stroke="none" fill="{ANNOTATION_COLOR}">{dim.label}</text>'
+    )
+    return out
+
+
+def _svg_arrow(tip: Point2, other: Point2, tip_text: tuple[str, str]) -> str:
+    """Filled arrowhead at `tip` (formatted as `tip_text`), pointing away from `other`."""
+    ux, uy = _unit(other, tip)
+    bx = tip[0] - ux * ARROW_PX
+    by = tip[1] - uy * ARROW_PX
+    half = ARROW_PX * 0.3
+    p1 = (bx - uy * half, by + ux * half)
+    p2 = (bx + uy * half, by - ux * half)
+    return (
+        f'<path d="M {tip_text[0]} {tip_text[1]} L {_fmt(p1[0])} {_fmt(p1[1])} '
+        f'L {_fmt(p2[0])} {_fmt(p2[1])} Z" fill="{ANNOTATION_COLOR}" stroke="none"/>'
+    )
+
+
+def _svg_symbol(sheet: Sheet, placed: PlacedView, mark: SymbolMark):
+    cx, cy = sheet.to_px(placed, mark.anchor)
+    if mark.kind == SYMBOL_SHELF_CIRCLE:
+        radius = sheet.scale * mark.width / 2.0
+        return [
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
+            f'stroke="{SYMBOL_COLOR}"/>'
+        ]
+    # Door opening triangle: hinge edge on the left, apex at mid right.
+    w = sheet.scale * mark.width / 2.0
+    h = sheet.scale * mark.height / 2.0
+    return [
+        f'<path d="M {_fmt(cx - w)} {_fmt(cy - h)} L {_fmt(cx - w)} {_fmt(cy + h)} '
+        f'L {_fmt(cx + w)} {_fmt(cy)} Z" stroke="{SYMBOL_COLOR}"/>'
+    ]
+
+
+def _line_points(dim: DimensionSet) -> tuple[Point2, Point2]:
+    """The former `DimensionSet.line_points`: the span shifted by the offset."""
+    ux, uy = _unit(dim.start, dim.end)
+    px, py = -uy * dim.offset, ux * dim.offset
+    return (
+        (dim.start[0] + px, dim.start[1] + py),
+        (dim.end[0] + px, dim.end[1] + py),
+    )
+
+
+def _unit(start: Point2, end: Point2) -> Point2:
+    dx, dy = end[0] - start[0], end[1] - start[1]
+    norm = math.hypot(dx, dy)
+    return (dx / norm, dy / norm)

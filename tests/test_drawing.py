@@ -3,7 +3,7 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cabinetkit import (
@@ -16,10 +16,16 @@ from cabinetkit import (
 from cabinetkit.drawing import (
     ANNOTATION_COLOR,
     DEFAULT_CANVAS_PX,
+    LAYERS,
     MARGIN_PX,
+    SYMBOL_DOOR_TRIANGLE,
+    SYMBOL_SHELF_CIRCLE,
     DimensionSet,
     NoiseSpec,
+    PlacedView,
+    Sheet,
     SymbolMark,
+    ViewDrawing,
     _fmt,
     annotate,
     inject_noise,
@@ -27,9 +33,9 @@ from cabinetkit.drawing import (
     render_views,
     to_svg,
 )
-from cabinetkit.geometry import model_aabb
+from cabinetkit.geometry import MAX_MM, model_aabb
 
-from helpers import box_corners
+from helpers import box_corners, to_svg_oracle
 
 
 def geometry_group(svg: str) -> str:
@@ -348,3 +354,111 @@ class TestSvg:
 def test_fmt_is_fixed_point_with_zeros_stripped(value):
     text = f"{value:.2f}".rstrip("0").rstrip(".")
     assert _fmt(value) == ("0" if text == "-0" else text)
+
+
+class TestAnnotationValues:
+    """Annotations reject values that would write a broken SVG, naming the field."""
+
+    @pytest.mark.parametrize("start, end", [
+        ((0, 0), (0, 0)),
+        ((5.0, 5.0), (5.0, 5.0)),
+        ((0.0, 0.0), (math.nan, 0.0)),
+        ((0.0, math.nan), (1.0, 0.0)),
+        ((0.0, 0.0), (math.inf, 0.0)),
+        ((-math.inf, 0.0), (0.0, 1.0)),
+        ((1e308, 0.0), (-1e308, 0.0)),  # finite ends, infinite span
+    ])
+    def test_dimension_span_must_be_finite_and_nonzero(self, start, end):
+        got = f"{start!r} and {end!r}"
+        pattern = rf"^start and end must be finite and apart, got {re.escape(got)}$"
+        with pytest.raises(ValueError, match=pattern):
+            DimensionSet(start, end, 10.0)
+
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+    def test_dimension_offset_must_be_finite(self, offset):
+        pattern = rf"^offset must be finite, got {re.escape(repr(offset))}$"
+        with pytest.raises(ValueError, match=pattern):
+            DimensionSet((0.0, 0.0), (10.0, 0.0), offset)
+
+    @pytest.mark.parametrize(
+        "anchor", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_symbol_anchor_must_be_finite(self, anchor):
+        pattern = rf"^anchor must be finite, got {re.escape(repr(anchor))}$"
+        with pytest.raises(ValueError, match=pattern):
+            SymbolMark(SYMBOL_SHELF_CIRCLE, anchor)
+
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -5.0, 0.0, -0.0])
+    def test_symbol_size_must_be_finite_and_positive(self, field, value):
+        pattern = rf"^{field} must be finite and positive, got {re.escape(repr(value))}$"
+        for kind in (SYMBOL_SHELF_CIRCLE, SYMBOL_DOOR_TRIANGLE):
+            with pytest.raises(ValueError, match=pattern):
+                SymbolMark(kind, (0.0, 0.0), **{field: value})
+
+
+# Numbers that stress the formatter: two-decimal ties (.xx5), values that
+# print as -0.00, signed zeros, and magnitudes up to the box domain.
+SVG_NUMBERS = (
+    st.integers(-10**8, 10**8).map(lambda k: k / 100.0 + 0.005)
+    | st.floats(-0.005, 0.005)
+    | st.sampled_from([0.0, -0.0, 0.005, -0.005, 0.015, -0.015, 2.675, MAX_MM, -MAX_MM])
+    | st.floats(MAX_MM - 1.0, MAX_MM)
+    | st.floats(-MAX_MM, MAX_MM)
+)
+SVG_POINTS = st.tuples(SVG_NUMBERS, SVG_NUMBERS)
+
+
+@st.composite
+def dimension_sets(draw):
+    start = draw(SVG_POINTS)
+    direction = draw(st.sampled_from(["horizontal", "vertical", "tilted"]))
+    if direction == "horizontal":
+        end = (draw(SVG_NUMBERS), start[1])
+    elif direction == "vertical":
+        end = (start[0], draw(SVG_NUMBERS))
+    else:
+        end = draw(SVG_POINTS)
+    assume(0.0 < math.hypot(end[0] - start[0], end[1] - start[1]) < math.inf)
+    return DimensionSet(start, end, draw(SVG_NUMBERS))
+
+
+SYMBOL_SIZES = st.floats(0.1, MAX_MM) | st.integers(1, 10**6).map(lambda k: k / 100.0 + 0.005)
+SYMBOLS = st.builds(
+    SymbolMark, st.sampled_from([SYMBOL_SHELF_CIRCLE, SYMBOL_DOOR_TRIANGLE]), SVG_POINTS,
+    SYMBOL_SIZES, SYMBOL_SIZES,
+)
+
+
+@st.composite
+def sheets(draw):
+    """Hand-built sheets: unit scale and no offset print the view coordinates themselves."""
+    placed = []
+    for _ in range(draw(st.integers(1, 3))):
+        view = ViewDrawing(
+            "front",
+            draw(st.lists(st.tuples(SVG_POINTS, SVG_POINTS), max_size=6)),
+            draw(st.lists(dimension_sets() | SYMBOLS, max_size=6)),
+        )
+        if draw(st.booleans()):
+            placed.append(PlacedView(view, 0.0, 0.0))
+        else:
+            placed.append(PlacedView(view, draw(SVG_NUMBERS), draw(SVG_NUMBERS)))
+    scale = draw(st.sampled_from([1.0, 0.1]) | st.floats(1e-3, 10.0))
+    return Sheet(scale, tuple(placed))
+
+
+def _outcome(render, sheet, layers):
+    try:
+        return render(sheet, layers)
+    except ArithmeticError as exc:  # a dimension line that vanishes in px
+        return type(exc)
+
+
+LAYER_SETS = [LAYERS, frozenset({"geometry"}), frozenset({"annotation"}), frozenset()]
+
+
+@given(sheets(), st.sampled_from(LAYER_SETS))
+@settings(max_examples=400, deadline=None)
+def test_to_svg_equals_the_former_formatter_byte_for_byte(sheet, layers):
+    assert _outcome(to_svg, sheet, layers) == _outcome(to_svg_oracle, sheet, layers)

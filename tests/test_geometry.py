@@ -26,6 +26,7 @@ from cabinetkit.geometry import (
     BoxError,
     VIEW_KINDS,
     box_bounds,
+    box_extents,
     footprints,
     iou3d,
     merge_segments,
@@ -690,17 +691,44 @@ def _corner_bounds(boxes):
     return lo, hi, right
 
 
-class TestBoxBounds:
-    """`box_bounds`, and everything built on it, against corner enumeration."""
+def _corner_extents(boxes):
+    """`box_extents` by enumerating each box's 8 corners: the reference."""
+    lo, hi, _ = _corner_bounds(boxes)
+    return [(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
 
-    @given(st.lists(bounded_boxes(), min_size=1, max_size=8))
+
+def _extent_bounds(boxes):
+    """`box_extents` as the arrays `box_bounds` returns (no right-angle mask)."""
+    extents = box_extents(boxes)
+    assert {type(c) for lo, hi in extents for c in lo + hi} == {float}
+    bounds = np.array(extents).reshape(len(boxes), 2, 3)
+    return bounds[:, 0], bounds[:, 1], None
+
+
+def _signed_zero_boxes():
+    """Boxes centred on +-0.0, or with a face on 0.0, at each quarter turn and tilted."""
+    centres = [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (-0.05, 0.05, -0.05), (0.05, -0.0, 0.05)]
+    return [
+        OrientedBox(centre, (0.1, 0.1, 0.1), rotation)
+        for centre in centres
+        for rotation in RIGHT_ANGLES + (1e-12, 7.5)
+    ]
+
+
+class TestBoxBounds:
+    """`box_bounds`, `box_extents`, and everything built on them, against corner enumeration."""
+
+    @pytest.mark.parametrize("bounds", [box_bounds, _extent_bounds], ids=["bounds", "extents"])
+    @given(boxes=st.lists(bounded_boxes(), min_size=1, max_size=8))
+    @example(boxes=domain_corner_boxes())
+    @example(boxes=_signed_zero_boxes())
     @settings(max_examples=300, deadline=None)
-    def test_equals_corner_enumeration_bit_for_bit(self, boxes):
-        lo, hi, right = box_bounds(boxes)
+    def test_equals_corner_enumeration_bit_for_bit(self, bounds, boxes):
+        lo, hi, right = bounds(boxes)
         ref_lo, ref_hi, ref_right = _corner_bounds(boxes)
         assert lo.tobytes() == ref_lo.tobytes()
         assert hi.tobytes() == ref_hi.tobytes()
-        assert (right == ref_right).all()
+        assert right is None or (right == ref_right).all()
 
     @given(st.lists(bounded_boxes(positions=st.floats(-300.0, 3000.0)), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -728,7 +756,7 @@ class TestBoxBounds:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(drawing, "MIN_EXTENT_MM", 1e-9)  # dimension every instance
             annotated = annotate(views, model, catalog)
-            patch.setattr(geometry, "box_bounds", _corner_bounds)
+            patch.setattr(geometry, "box_extents", _corner_extents)
             reference = annotate(views, model, catalog)
         assert annotated == reference
 
@@ -766,11 +794,27 @@ class TestProjectionOracle:
             merged = merge_segments(project_boxes([b], view))
             assert _segment_bits(merged) == _segment_bits(project_box_oracle(b, view))
 
+    @pytest.mark.parametrize("rotation", RIGHT_ANGLES + (None,))
+    def test_domain_corners_equal_twelve_edge_projection(self, rotation):
+        # A right-angle box draws the rectangle of its extent: at each quarter
+        # turn, and (None) at the turns the domain corner boxes have.
+        boxes = domain_corner_boxes() + _signed_zero_boxes()
+        if rotation is not None:
+            boxes = [OrientedBox(b.position, b.size, rotation) for b in boxes]
+        for b in boxes:
+            for view in VIEW_KINDS:
+                merged = merge_segments(project_boxes([b], view))
+                assert _segment_bits(merged) == _segment_bits(project_box_oracle(b, view))
+
     @given(
         st.integers(0, 10_000),
         st.sampled_from(sorted(TURNS)),
         st.none() | st.lists(bounded_boxes(), min_size=1, max_size=8),
     )
+    @example(3, "quarter", None)
+    @example(0, "none", [OrientedBox(b.position, b.size, 90.0) for b in domain_corner_boxes()])
+    @example(0, "none", domain_corner_boxes())
+    @example(0, "none", _signed_zero_boxes())
     @settings(max_examples=80, deadline=None)
     def test_render_views_matches_twelve_edge_projection(self, catalog, seed, turn, boxes):
         # The reference merges each box and then each view.
