@@ -1,4 +1,4 @@
-"""The oriented-box kernel: footprints, bounds, projections, and exact 3D IoU.
+"""The oriented-box kernel: footprints, extents, projections, and exact 3D IoU.
 
 Boxes rotate about the vertical axis only, so every volume overlap factors
 into a convex 2D footprint intersection times a 1D height overlap. That
@@ -8,7 +8,7 @@ makes the IoU exact (no sampling) and cheap.
 import numpy as np
 
 from cabinetkit import CabinetModel, OrientedBox, builtin_catalog, iou3d, make_instance, render_views
-from cabinetkit.geometry import box_bounds, footprints
+from cabinetkit.geometry import box_extents, footprints
 
 # A box is its center, its extents, and a rotation about z in degrees.
 box = OrientedBox(position=(0, 0, 0), size=(2, 4, 2), rotation_deg=45)
@@ -20,10 +20,9 @@ box = OrientedBox(position=(0, 0, 0), size=(2, 4, 2), rotation_deg=45)
 print("footprint of a 45-degree box:", np.round(footprints([box])[0], 3).tolist())
 print("z interval:", box.z_interval)
 
-# The world-frame bounds (lo, hi) of any number of boxes, and which of them
-# sit at right angles.
-lo, hi, right = box_bounds([box])
-print("bounds: lo", np.round(lo[0], 3), "hi", np.round(hi[0], 3), "right angle:", bool(right[0]))
+# The world-frame extent (lo, hi) of any number of boxes, as float triples.
+[(lo, hi)] = box_extents([box])
+print("extent: lo", np.round(lo, 3), "hi", np.round(hi, 3))
 
 # IoU basics: identical boxes score exactly 1, face-tangent boxes score 0.
 a = OrientedBox((0, 0, 0), (1, 1, 1))

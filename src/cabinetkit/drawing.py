@@ -64,8 +64,9 @@ SYMBOL_COLOR = "#d40000"
 class DimensionSet:
     """A measured span with extension lines; its label is the span in whole mm.
 
-    The span must be finite and nonzero and the offset finite; anything else
-    raises ValueError naming the field and the value.
+    The span must be finite and nonzero, the offset finite, and the line
+    points the offset moves the span to finite; anything else raises
+    ValueError naming the fields and the values.
     """
 
     start: Point2
@@ -88,7 +89,16 @@ class DimensionSet:
             raise ValueError(f"offset must be finite, got {offset!r}")
         # The span turned a quarter and scaled by the offset (`_unit`'s arithmetic).
         px, py = -(dy / length) * offset, (dx / length) * offset
-        object.__setattr__(self, "_line", ((x0 + px, y0 + py), (x1 + px, y1 + py)))
+        line = (ax, ay), (bx, by) = (x0 + px, y0 + py), (x1 + px, y1 + py)
+        if not (
+            -math.inf < ax < math.inf and -math.inf < ay < math.inf
+            and -math.inf < bx < math.inf and -math.inf < by < math.inf
+        ):
+            raise ValueError(
+                f"offset {offset!r} moves start {self.start!r} and end {self.end!r} "
+                f"out of the float range, to {line!r}"
+            )
+        object.__setattr__(self, "_line", line)
 
     @property
     def length(self) -> float:

@@ -4,13 +4,14 @@ Coordinate conventions: the up axis is +z, the front of a cabinet faces -y,
 and the world origin sits at a cabinet corner so that valid assemblies lie
 in the first octant. Boxes rotate about the vertical (z) axis only, which
 keeps every overlap query an exact 2D convex-polygon problem times a 1D
-interval overlap. A box's world extent comes from one routine
-(`box_extents`): field arithmetic for a right-angle box, its footprint's
-corners for a tilted one. Clipping and the projection of tilted boxes read
-one footprint array (`footprints`). `pairwise_iou` clips all of a call's
-convex footprint pairs at once, as padded numpy arrays (`_clip_areas`), in
-the float operation order of the per-pair Sutherland-Hodgman loop that the
-tests keep as its reference, so its scores equal that loop's bit for bit.
+interval overlap. A box's world extent is worked out in one routine
+(`_extents`): field arithmetic for a right-angle box, the min and max of
+its `footprints` row for a tilted one. `box_extents`, `project_boxes` and
+`pairwise_iou` read it, and the last two reuse the tilted boxes' footprint
+rows it built. `pairwise_iou` clips all of a call's convex footprint
+pairs at once, as padded numpy arrays (`_clip_areas`), in the float
+operation order of the per-pair Sutherland-Hodgman loop that the tests keep
+as its reference, so its scores equal that loop's bit for bit.
 
 All lengths are millimeters. `OrientedBox` admits one domain, positions
 within +-1e6 mm and sizes from 0.1 to 1e6 mm, and the code here relies on
@@ -194,8 +195,8 @@ def pairwise_iou(boxes_a: Sequence[OrientedBox], boxes_b: Sequence[OrientedBox])
     iou = np.zeros((len(boxes_a), len(boxes_b)))
     if iou.size == 0:
         return iou
-    lo_a, hi_a, right_a, feet_a = _bounds_and_footprints(boxes_a)
-    lo_b, hi_b, right_b, feet_b = _bounds_and_footprints(boxes_b)
+    lo_a, hi_a, right_a, feet_a = _extent_arrays(boxes_a)
+    lo_b, hi_b, right_b, feet_b = _extent_arrays(boxes_b)
     # Every pair takes the AABB arithmetic, and only right-angle pairs that
     # overlap keep it.
     overlap = np.minimum(hi_a[:, None], hi_b[None]) - np.maximum(lo_a[:, None], lo_b[None])
@@ -321,20 +322,18 @@ def _ring_area(x: np.ndarray, y: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def box_extents(boxes: Sequence[OrientedBox]) -> list[Extent]:
-    """World-frame extent of each box as (lo, hi) float triples.
+    """World-frame extent of each box as (lo, hi) float triples (`_extents`)."""
+    return _extents(boxes)[0]
+
+
+def _extents(boxes: Sequence[OrientedBox]) -> tuple[list[Extent], list[int], np.ndarray]:
+    """Each box's world extent, the indices of the tilted boxes, and their footprints.
 
     This is the one place a box's world extent is worked out. A right-angle
-    box's extent is field arithmetic (center -/+ half size, x and y swapped
-    on odd quarter turns), which equals its corners bit for bit; a tilted
-    box's xy extent comes from its `footprints` corners.
-    """
-    return _extents_and_rings(boxes)[0]
-
-
-def _field_extents(boxes: Sequence[OrientedBox]) -> tuple[list[Extent], list[int]]:
-    """Each box's center -/+ half size, x and y swapped on odd quarter turns.
-
-    Also returns the indices of the tilted boxes, whose xy this gets wrong.
+    box's extent is its center -/+ half size, x and y swapped on odd quarter
+    turns, which equals its corners bit for bit. A tilted box's xy extent is
+    the min and max of its row of the `footprints` array, shape (tilted, 4, 2),
+    returned for the callers that draw or clip it.
     """
     extents: list[Extent] = []
     tilted: list[int] = []
@@ -346,59 +345,37 @@ def _field_extents(boxes: Sequence[OrientedBox]) -> tuple[list[Extent], list[int
             tilted.append(index)
         hx, hy, hz = sx / 2.0, sy / 2.0, sz / 2.0
         extents.append(((px - hx, py - hy, pz - hz), (px + hx, py + hy, pz + hz)))
-    return extents, tilted
-
-
-def _extents_and_rings(
-    boxes: Sequence[OrientedBox],
-) -> tuple[list[Extent], list[int], list[list[list[float]]]]:
-    """`box_extents`, the tilted boxes' indices and their footprints as lists."""
-    extents, tilted = _field_extents(boxes)
-    rings = footprints([boxes[i] for i in tilted]).tolist() if tilted else []
-    for index, ring in zip(tilted, rings):
-        xs, ys = [x for x, _ in ring], [y for _, y in ring]
+    if not tilted:
+        return extents, tilted, np.empty((0, 4, 2))
+    feet = footprints([boxes[i] for i in tilted])
+    lows, highs = feet.min(axis=1).tolist(), feet.max(axis=1).tolist()
+    for index, (x0, y0), (x1, y1) in zip(tilted, lows, highs):
         (_, _, z0), (_, _, z1) = extents[index]
-        extents[index] = ((min(xs), min(ys), z0), (max(xs), max(ys), z1))
-    return extents, tilted, rings
+        extents[index] = ((x0, y0, z0), (x1, y1, z1))
+    return extents, tilted, feet
 
 
-def box_bounds(boxes: Sequence[OrientedBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`box_extents` as arrays: (lo, hi), each of shape (n, 3), and the right-angle mask."""
-    lo, hi, right, _ = _bounds_and_footprints(boxes)
-    return lo, hi, right
-
-
-def _bounds_and_footprints(
+def _extent_arrays(
     boxes: Sequence[OrientedBox],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`box_bounds`, plus the footprints of the tilted boxes, shape (tilted, 4, 2).
-
-    The tilted boxes' xy bounds are their footprints' in numpy, as in
-    `box_extents`, with no round trip through Python floats.
-    """
-    extents, tilted = _field_extents(boxes)
+    """`_extents` as arrays: lo and hi, each (n, 3), the right-angle mask, the tilted footprints."""
+    extents, tilted, feet = _extents(boxes)
     flat = itertools.chain.from_iterable(itertools.chain.from_iterable(extents))
     bounds = np.fromiter(flat, float, 6 * len(boxes)).reshape(len(boxes), 2, 3)
-    lo, hi = bounds[:, 0], bounds[:, 1]
     right = np.ones(len(boxes), dtype=bool)
     right[tilted] = False
-    feet = np.empty((0, 4, 2))
-    if tilted:
-        feet = footprints([boxes[i] for i in tilted])
-        lo[tilted, :2] = feet.min(axis=1)
-        hi[tilted, :2] = feet.max(axis=1)
-    return lo, hi, right, feet
+    return bounds[:, 0], bounds[:, 1], right, feet
 
 
 def _all_footprints(
-    boxes: Sequence[OrientedBox], right: np.ndarray, rotated_feet: np.ndarray
+    boxes: Sequence[OrientedBox], right: np.ndarray, tilted_feet: np.ndarray
 ) -> np.ndarray:
-    """`footprints(boxes)`, reusing the rotated boxes' rows that `_bounds_and_footprints` built.
+    """`footprints(boxes)`, reusing the tilted boxes' rows that `_extents` built.
 
     `footprints` works box by box, so every row equals the whole-list call's.
     """
     feet = np.empty((len(boxes), 4, 2))
-    feet[~right] = rotated_feet
+    feet[~right] = tilted_feet
     square = np.flatnonzero(right)
     if square.size:
         feet[square] = footprints([boxes[i] for i in square.tolist()])
@@ -433,8 +410,8 @@ def project_boxes(boxes: Sequence[OrientedBox], view: str) -> list[Segment]:
     CLIP_EPS.
     """
     ax_h, ax_v = view_axes(view)
-    extents, tilted, rings = _extents_and_rings(boxes)
-    ring_of = dict(zip(tilted, rings))
+    extents, tilted, feet = _extents(boxes)
+    ring_of = dict(zip(tilted, feet.tolist()))
     segments: list[Segment] = []
     for index, (lo, hi) in enumerate(extents):
         h0, h1 = lo[ax_h], hi[ax_h]

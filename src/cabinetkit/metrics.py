@@ -2,7 +2,8 @@
 
 Predicted and ground-truth primitives are paired by optimal assignment on
 3D IoU (Kuhn-Munkres on cost 1 - IoU, padded square with zero-IoU dummy
-entries, warm-started by Jonker-Volgenant column reduction). A pairing at
+entries, warm-started by Jonker-Volgenant column reduction unless one side
+holds two equal boxes, whose tie then falls in row order). A pairing at
 IoU 0 is reported as unmatched, like a pairing with a dummy. A pair is a
 true positive when its IoU strictly exceeds the threshold (default 0.5).
 On top of the geometric matching:
@@ -48,18 +49,17 @@ def iou_matrix(pred: CabinetModel, gt: CabinetModel) -> np.ndarray:
     return pairwise_iou([p.box for p in pred.instances], [g.box for g in gt.instances])
 
 
-def _solve_min_cost(cost: np.ndarray) -> list[int]:
+def _solve_min_cost(cost: np.ndarray, *, warm_start: bool) -> list[int]:
     """O(n^3) Kuhn-Munkres on a square cost matrix; returns column per row.
 
-    Warm-started by the column reduction of Jonker & Volgenant (Computing
-    38, 1987): each column's dual starts at its smallest cost, and the
-    column is assigned to the first row holding that cost while the row is
-    still free. Augmenting paths are then searched only for the rows left
-    over, in row order. With twin lines (`_has_twin_lines`) there is no
-    warm start, and every row is searched in row order. Deterministic:
-    among equal-cost assignments the one reached first this way is
-    returned. Raises ValueError on a NaN or infinite cost, which would
-    never let the augmenting-path search terminate.
+    With `warm_start`, the column reduction of Jonker & Volgenant (Computing
+    38, 1987) goes first: each column's dual starts at its smallest cost,
+    and the column is assigned to the first row holding that cost while the
+    row is still free. Augmenting paths are then searched only for the rows
+    left over, in row order; without it, every row is searched in row
+    order. Deterministic: among equal-cost assignments the one reached first
+    this way is returned. Raises ValueError on a NaN or infinite cost, which
+    would never let the augmenting-path search terminate.
     """
     if not np.isfinite(cost).all():
         raise ValueError("assignment costs must be finite")
@@ -69,7 +69,7 @@ def _solve_min_cost(cost: np.ndarray) -> list[int]:
     v = [0.0] * (n + 1)
     matched_row = [0] * (n + 1)  # row matched to each column (1-based; 0 = free)
     row_free = [True] * (n + 1)
-    if not _has_twin_lines(cost):
+    if warm_start:
         v = [0.0] + cost.min(axis=0).tolist()
         for j, i in enumerate(cost.argmin(axis=0).tolist(), start=1):
             if row_free[i + 1]:
@@ -120,38 +120,24 @@ def _solve_min_cost(cost: np.ndarray) -> list[int]:
     return assignment
 
 
-def _has_twin_lines(cost: np.ndarray) -> bool:
-    """Whether two rows, or two columns, of `cost` are equal and not constant.
-
-    Such twins come from identical boxes, which synthesized cabinets can
-    hold (a fixed and an adjustable shelf in one place). Every assignment
-    among twins costs the same, and the warm start breaks that tie
-    differently from the row-by-row search. When the twins carry different
-    model IDs, the tie decides retrieval, so `_solve_min_cost` skips the
-    warm start for them. Constant lines are padding or boxes that overlap
-    nothing, which `match` reports as unmatched whichever way the tie falls.
-    """
-    for lines in (cost, cost.T):
-        varied = np.ascontiguousarray(lines[lines.min(axis=1) < lines.max(axis=1)])
-        whole_line = np.dtype((np.void, varied.itemsize * varied.shape[1]))
-        keys = varied.view(whole_line).ravel().tolist()  # each line's bytes
-        if len(set(keys)) < len(keys):
-            return True
-    return False
-
-
 def match(pred: CabinetModel, gt: CabinetModel) -> Matching:
     """Assignment maximizing total IoU.
 
     Pairings with a dummy and pairings at IoU 0 are reported as unmatched,
     so which of several zero-IoU pairings the solver picks never shows.
+    When either side holds the same box twice (equal `OrientedBox`es, which
+    synthesized cabinets can hold: a fixed and an adjustable shelf in one
+    place), every assignment among the twins costs the same, and the tie
+    decides which model ID a pairing is credited with. The solver then runs
+    without its warm start, so that the tie falls in row order.
     """
     ious = iou_matrix(pred, gt)
     n, m = ious.shape
     size = max(n, m)
     padded = np.zeros((size, size))
     padded[:n, :m] = ious
-    assignment = _solve_min_cost(1.0 - padded)
+    twins = any(len({i.box for i in side}) < len(side) for side in (pred.instances, gt.instances))
+    assignment = _solve_min_cost(1.0 - padded, warm_start=not twins)
 
     pairs = []
     unmatched_pred = []

@@ -79,15 +79,6 @@ class MapNode:
 Node = ScalarNode | SeqNode | MapNode
 
 
-def to_plain(node: Node):
-    """Convert a node tree to plain Python values."""
-    if isinstance(node, ScalarNode):
-        return node.value
-    if isinstance(node, SeqNode):
-        return [to_plain(item) for item in node.items]
-    return {key: to_plain(value) for key, value in node.pairs.items()}
-
-
 def parse(text: str) -> Node:
     """Parse a single document; raises RYamlError on any problem."""
     lines = _logical_lines(text)
@@ -99,11 +90,6 @@ def parse(text: str) -> Node:
     if trailing is not None:
         raise RYamlError("content after end of document", trailing.span())
     return node
-
-
-def loads(text: str):
-    """Parse and convert to plain Python values in one step."""
-    return to_plain(parse(text))
 
 
 #: A quoted scalar: double-quoted with backslash escapes, or single-quoted

@@ -36,10 +36,22 @@ def test_package_imports_only_stdlib_and_numpy():
     assert foreign == []
 
 
-def test_pyproject_declares_only_numpy():
+def _declared(key: str) -> list[str]:
+    """The package names of one requirement list in pyproject.toml, such as `dependencies`."""
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    declared = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S)
+    declared = re.search(rf"^{key}\s*=\s*\[(.*?)\]", text, re.M | re.S)
     assert declared is not None
     requirements = re.findall(r"\"([^\"]*)\"|'([^']*)'", declared.group(1))
-    names = [re.match(r"[A-Za-z0-9_.-]*", double or single)[0] for double, single in requirements]
-    assert names == ["numpy"]
+    return [re.match(r"[A-Za-z0-9_.-]*", double or single)[0] for double, single in requirements]
+
+
+def test_pyproject_declares_only_numpy():
+    assert _declared("dependencies") == ["numpy"]
+
+
+def test_ci_installs_numpy_and_the_test_extra():
+    """The CI install line and pyproject.toml are two hand-kept copies of one list."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    installs = re.findall(r"\bpip install ([^\n]*)", workflow)
+    assert len(installs) == 1
+    assert sorted(installs[0].split()) == sorted(_declared("dependencies") + _declared("test"))

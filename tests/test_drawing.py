@@ -380,6 +380,30 @@ class TestAnnotationValues:
         with pytest.raises(ValueError, match=pattern):
             DimensionSet((0.0, 0.0), (10.0, 0.0), offset)
 
+    @pytest.mark.parametrize("start, end, offset", [
+        ((1e308, 0.0), (1e308, 1.0), -1e308),  # line at x = inf
+        ((0.0, -1.7e308), (1.0, -1.7e308), -1.7e308),  # line at y = -inf
+        ((1.7e308, 1.7e308), (1.7e308 - 1e300, 1.7e308 + 1e300), -1e308),  # tilted
+        ((0.0, 0.0), (1e308, 1e308), -1.2e308),  # only the end's x overflows
+    ])
+    def test_dimension_line_points_must_be_finite(self, start, end, offset):
+        # Ends and offset are finite, but the offset moves the span out of range.
+        dx, dy = end[0] - start[0], end[1] - start[1]
+        length = math.hypot(dx, dy)
+        px, py = -(dy / length) * offset, (dx / length) * offset
+        line = ((start[0] + px, start[1] + py), (end[0] + px, end[1] + py))
+        assert not all(map(math.isfinite, line[0] + line[1]))
+        got = (
+            f"offset {offset!r} moves start {start!r} and end {end!r} "
+            f"out of the float range, to {line!r}"
+        )
+        with pytest.raises(ValueError, match=rf"^{re.escape(got)}$"):
+            DimensionSet(start, end, offset)
+
+    def test_dimension_line_points_at_the_float_range_are_kept(self):
+        dim = DimensionSet((1e308, 0.0), (1e308, 1.0), -7e307)
+        assert dim.line_points() == ((1.7e308, 0.0), (1.7e308, 1.0))
+
     @pytest.mark.parametrize(
         "anchor", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0), (1.0, math.nan)]
     )

@@ -25,7 +25,6 @@ from cabinetkit.geometry import (
     OCTANT_EPS,
     BoxError,
     VIEW_KINDS,
-    box_bounds,
     box_extents,
     footprints,
     iou3d,
@@ -683,7 +682,7 @@ def bounded_boxes(draw, positions=st.floats(-MAX_MM, MAX_MM)):
 
 
 def _corner_bounds(boxes):
-    """`box_bounds` by enumerating each box's 8 corners: the reference."""
+    """Each box's lo and hi, and whether it is at a right angle, from its 8 corners: the reference."""
     corners = [box_corners(b) for b in boxes]
     lo = np.array([c.min(axis=0) for c in corners]).reshape(len(boxes), 3)
     hi = np.array([c.max(axis=0) for c in corners]).reshape(len(boxes), 3)
@@ -698,11 +697,19 @@ def _corner_extents(boxes):
 
 
 def _extent_bounds(boxes):
-    """`box_extents` as the arrays `box_bounds` returns (no right-angle mask)."""
+    """`box_extents` as lo and hi arrays (no right-angle mask)."""
     extents = box_extents(boxes)
     assert {type(c) for lo, hi in extents for c in lo + hi} == {float}
     bounds = np.array(extents).reshape(len(boxes), 2, 3)
     return bounds[:, 0], bounds[:, 1], None
+
+
+def _array_bounds(boxes):
+    """The arrays `pairwise_iou` reads; the tilted footprints are `footprints`' rows."""
+    lo, hi, right, feet = geometry._extent_arrays(boxes)
+    tilted = [b for b, r in zip(boxes, right) if not r]
+    assert feet.tobytes() == (footprints(tilted) if tilted else np.empty((0, 4, 2))).tobytes()
+    return lo, hi, right
 
 
 def _signed_zero_boxes():
@@ -715,10 +722,10 @@ def _signed_zero_boxes():
     ]
 
 
-class TestBoxBounds:
-    """`box_bounds`, `box_extents`, and everything built on them, against corner enumeration."""
+class TestBoxExtents:
+    """`box_extents`, its arrays, and everything built on them, against corner enumeration."""
 
-    @pytest.mark.parametrize("bounds", [box_bounds, _extent_bounds], ids=["bounds", "extents"])
+    @pytest.mark.parametrize("bounds", [_array_bounds, _extent_bounds], ids=["arrays", "extents"])
     @given(boxes=st.lists(bounded_boxes(), min_size=1, max_size=8))
     @example(boxes=domain_corner_boxes())
     @example(boxes=_signed_zero_boxes())

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from cabinetkit import CabinetModel, OrientedBox, emit_python, make_instance, parse_python
+from cabinetkit import CabinetModel, OrientedBox, emit_python, make_instance, metrics, parse_python
 from cabinetkit.metrics import (
     DEFAULT_IOU_THRESHOLD,
-    _has_twin_lines,
     _solve_min_cost,
     evaluate_corpus,
     evaluate_sample,
@@ -100,30 +99,72 @@ class TestMatch:
         assert [(i, j) for i, j, _ in match(pred, gt).pairs] == [(0, 0), (1, 1)]
         assert evaluate_sample(pred, gt, catalog).retrieval_correct == 2
 
+    def test_identical_prediction_boxes_pair_in_row_order(self, catalog):
+        # Both twins overlap both ground truths; the second one overlaps more.
+        # The warm start would pair the first twin with the first ground truth.
+        twin = OrientedBox((500, 500, 500), (400, 400, 18))
+        pred = CabinetModel(
+            (make_instance(catalog, "M-SHAD", twin), make_instance(catalog, "M-SHFX", twin))
+        )
+        gt = CabinetModel(
+            (
+                make_instance(catalog, "M-SHFX", OrientedBox((530, 500, 500), (400, 400, 18))),
+                make_instance(catalog, "M-SHAD", OrientedBox((510, 500, 500), (400, 400, 18))),
+            )
+        )
+        assert [(i, j) for i, j, _ in match(pred, gt).pairs] == [(0, 1), (1, 0)]
+        assert evaluate_sample(pred, gt, catalog).retrieval_correct == 2
+
+    @pytest.mark.parametrize("twin_side", ["pred", "gt"])
+    def test_identical_boxes_that_overlap_nothing_stay_unmatched(self, catalog, twin_side):
+        shared = unit_cube_model(catalog, [0.5])
+        twins = unit_cube_model(catalog, [0.5, 50.5, 50.5])
+        pred, gt = (twins, shared) if twin_side == "pred" else (shared, twins)
+        matching = match(pred, gt)
+        assert matching.pairs == ((0, 0, 1.0),)
+        unmatched = matching.unmatched_pred if twin_side == "pred" else matching.unmatched_gt
+        assert unmatched == (1, 2)
+
+    @pytest.mark.parametrize(
+        "pred_xs, gt_xs, warm_start",
+        [
+            ([0.5, 10.5], [0.5, 10.5, 20.5], True),
+            ([0.5, 0.5], [0.5, 10.5], False),
+            ([0.5, 10.5], [10.5, 0.5, 10.5], False),
+            ([0.5, 0.5], [0.5, 0.5], False),
+        ],
+        ids=["no-twins", "twin-predictions", "twin-ground-truths", "both"],
+    )
+    def test_warm_start_only_without_equal_boxes(self, catalog, pred_xs, gt_xs, warm_start):
+        seen = []
+
+        def solve(cost, *, warm_start):
+            seen.append(warm_start)
+            return _solve_min_cost(cost, warm_start=warm_start)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_solve_min_cost", solve)
+            match(unit_cube_model(catalog, pred_xs), unit_cube_model(catalog, gt_xs))
+        assert seen == [warm_start]
+
     @pytest.mark.parametrize(
         "ious, expected",
         [([[0.6, 0.9], [0.6, 0.9]], [1, 0]), ([[0.6, 0.6], [0.9, 0.9]], [0, 1])],
         ids=["twin-predictions", "twin-ground-truths"],
     )
     def test_twins_are_searched_in_row_order(self, ious, expected):
-        assert _has_twin_lines(1.0 - np.array(ious))
-        assert _solve_min_cost(1.0 - np.array(ious)) == expected
+        assert _solve_min_cost(1.0 - np.array(ious), warm_start=False) == expected
 
-    def test_constant_lines_are_not_twins(self):
-        # Padding and boxes that overlap nothing give constant rows and columns.
-        ious = np.zeros((4, 4))
-        ious[:2, :2] = [[0.5, 0.2], [0.1, 0.7]]
-        assert not _has_twin_lines(1.0 - ious)
-
+    @pytest.mark.parametrize("warm_start", [True, False])
     @given(ious=tie_heavy_ious())
     @settings(max_examples=300, deadline=None)
-    def test_solver_total_is_optimal_on_tie_heavy_matrices(self, ious):
+    def test_solver_total_is_optimal_on_tie_heavy_matrices(self, ious, warm_start):
         n, m = ious.shape
         size = max(n, m)
         padded = np.zeros((size, size))
         padded[:n, :m] = ious
         cost = 1.0 - padded
-        assignment = _solve_min_cost(cost)
+        assignment = _solve_min_cost(cost, warm_start=warm_start)
         assert sorted(assignment) == list(range(size))
         got = sum(cost[i, j] for i, j in enumerate(assignment))
         rows, cols = linear_sum_assignment(cost)
@@ -132,12 +173,13 @@ class TestMatch:
             best_iou = brute_force_best_total(ious)
             assert got == pytest.approx(size - best_iou, abs=1e-12)
 
+    @pytest.mark.parametrize("warm_start", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_solver_rejects_non_finite_costs(self, bad):
+    def test_solver_rejects_non_finite_costs(self, bad, warm_start):
         cost = np.zeros((3, 3))
         cost[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            _solve_min_cost(cost)
+            _solve_min_cost(cost, warm_start=warm_start)
 
 
 class TestEvaluateSample:

@@ -6,11 +6,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cabinetkit import ryaml
-from cabinetkit.ryaml import RYamlError
+from cabinetkit.ryaml import RYamlError, ScalarNode, SeqNode
+
+
+def to_plain(node):
+    """A parsed node tree as plain Python values."""
+    if isinstance(node, ScalarNode):
+        return node.value
+    if isinstance(node, SeqNode):
+        return [to_plain(item) for item in node.items]
+    return {key: to_plain(value) for key, value in node.pairs.items()}
+
+
+def loads(text):
+    """Parse and convert to plain Python values in one step."""
+    return to_plain(ryaml.parse(text))
 
 
 def test_scalars_are_typed():
-    data = ryaml.loads("a: 1\nb: 1.5\nc: hello\nd: \"quoted\"\ne: -3\n")
+    data = loads("a: 1\nb: 1.5\nc: hello\nd: \"quoted\"\ne: -3\n")
     assert data == {"a": 1, "b": 1.5, "c": "hello", "d": "quoted", "e": -3}
     assert isinstance(data["a"], int)
     assert isinstance(data["b"], float)
@@ -29,7 +43,7 @@ list:
 - name: second
   value: 3
 """
-    data = ryaml.loads(text)
+    data = loads(text)
     assert data["top"] == {"child": 1, "items": [10, 20]}
     assert data["list"] == [
         {"name": "first", "value": 2},
@@ -38,20 +52,20 @@ list:
 
 
 def test_flow_sequence():
-    assert ryaml.loads("v: [1, 2.5, x]\n") == {"v": [1, 2.5, "x"]}
+    assert loads("v: [1, 2.5, x]\n") == {"v": [1, 2.5, "x"]}
 
 
 def test_comments_are_discarded():
     text = "# leading\na: 1  # trailing\n# footer\n"
-    assert ryaml.loads(text) == {"a": 1}
+    assert loads(text) == {"a": 1}
 
 
 def test_hash_inside_string_is_kept():
-    assert ryaml.loads('a: "x # y"\n') == {"a": "x # y"}
+    assert loads('a: "x # y"\n') == {"a": "x # y"}
 
 
 def test_plain_scalar_with_spaces():
-    assert ryaml.loads("name: base box\n") == {"name": "base box"}
+    assert loads("name: base box\n") == {"name": "base box"}
 
 
 @pytest.mark.parametrize(
@@ -90,25 +104,25 @@ def test_spans_point_into_input():
 
 
 def test_single_quoted_strings():
-    assert ryaml.loads("a: 'it''s'\n") == {"a": "it's"}
+    assert loads("a: 'it''s'\n") == {"a": "it's"}
 
 
 def test_quoted_flow_items_may_hold_separators():
     text = """v: ['a, b', "[c]", 'd]', "e\\"f, g", 'it''s, ok', 1]\n"""
-    assert ryaml.loads(text) == {"v": ["a, b", "[c]", "d]", 'e"f, g', "it's, ok", 1]}
+    assert loads(text) == {"v": ["a, b", "[c]", "d]", 'e"f, g', "it's, ok", 1]}
 
 
 def test_string_escapes_round_trip():
     for value in ['with "quotes"', "back\\slash", "tab\there", "new\nline", "1.5", "no", "M-X\n"]:
         rendered = ryaml.format_string(value)
-        assert ryaml.loads(f"k: {rendered}\n") == {"k": value}
+        assert loads(f"k: {rendered}\n") == {"k": value}
 
 
 def test_format_scalar_preserves_types():
     assert ryaml.format_scalar(3) == "3"
     assert ryaml.format_scalar(3.0) == "3.0"
-    assert ryaml.loads("k: 3.0\n")["k"] == 3.0
-    assert isinstance(ryaml.loads("k: 3.0\n")["k"], float)
+    assert loads("k: 3.0\n")["k"] == 3.0
+    assert isinstance(loads("k: 3.0\n")["k"], float)
 
 
 def test_format_float_keeps_a_decimal_point():
@@ -148,7 +162,7 @@ def test_out_of_range_numbers_rejected_at_the_literal():
         ryaml.parse(f"a: 1\nb: {literal}\n")
     span = info.value.span
     assert (span.line, span.column, span.offset, span.length) == (2, 4, 8, len(literal))
-    assert ryaml.loads("a: 0." + "0" * 400 + "1\n") == {"a": 0.0}  # underflow is finite
+    assert loads("a: 0." + "0" * 400 + "1\n") == {"a": 0.0}  # underflow is finite
 
 
 def test_empty_document_rejected():
