@@ -140,6 +140,7 @@ class PrimitiveCatalog:
         if not self._schemas:
             raise CatalogError("catalog must contain at least one primitive")
         self._slots = tuple(self._schemas)
+        self._slot_of = {model_id: slot for slot, model_id in enumerate(self._slots)}
 
     def __contains__(self, model_id: str) -> bool:
         return model_id in self._schemas
@@ -164,10 +165,10 @@ class PrimitiveCatalog:
         return self._slots
 
     def slot_of(self, model_id: str) -> int:
-        try:
-            return self._slots.index(model_id)
-        except ValueError:
-            raise KeyError(f"unknown model_id {model_id!r}") from None
+        slot = self._slot_of.get(model_id)
+        if slot is None:
+            raise KeyError(f"unknown model_id {model_id!r}")
+        return slot
 
     def model_id_at(self, slot: int) -> str:
         if not 0 <= slot < len(self._slots):

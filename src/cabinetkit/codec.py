@@ -121,21 +121,33 @@ class CommandSequence:
 
 
 def encode(model: CabinetModel, catalog: PrimitiveCatalog) -> CommandSequence:
-    """One command per instance, in source order; model-specific params drop."""
+    """One command per instance, in source order; model-specific params drop.
+
+    Each field is quantized inline, as `quantize_length` and
+    `quantize_rotation` would: an unknown ID raises KeyError, a non-finite
+    value CodecError, and one warning counts the clamped lengths.
+    """
+    slot_of = catalog.slot_of
+    top = LENGTH_BINS - 1
     commands = []
     clamped = 0
     for instance in model.instances:
-        slot = catalog.slot_of(instance.model_id)  # KeyError on unknown ID
-        lengths = instance.box.position + instance.box.size
-        clamped += sum(not 0.0 <= c <= LENGTH_RANGE_MM for c in lengths)
-        commands.append(
-            Command(
-                model_slot=slot,
-                pos_bins=tuple(quantize_length(c) for c in instance.box.position),
-                size_bins=tuple(quantize_length(c) for c in instance.box.size),
-                rot_bin=quantize_rotation(instance.box.rotation_deg),
-            )
-        )
+        slot = slot_of(instance.model_id)  # KeyError on unknown ID
+        box = instance.box
+        bins = []
+        for c in box.position + box.size:
+            if 0.0 <= c <= LENGTH_RANGE_MM:
+                bins.append(min(int(c / LENGTH_RESOLUTION_MM), top))
+            elif -math.inf < c < math.inf:
+                clamped += 1
+                bins.append(0 if c < 0.0 else top)
+            else:
+                raise CodecError(f"cannot quantize non-finite length {c!r}")
+        degrees = box.rotation_deg
+        if not -math.inf < degrees < math.inf:
+            raise CodecError(f"cannot quantize non-finite rotation {degrees!r}")
+        rot_bin = int((degrees % 360.0) / ROTATION_RESOLUTION_DEG + 0.5) % ROTATION_BINS
+        commands.append(Command(slot, tuple(bins[:3]), tuple(bins[3:]), rot_bin))
     if clamped:
         logger.warning("%d length(s) outside [0, %.0f] mm clamped", clamped, LENGTH_RANGE_MM)
     return CommandSequence(tuple(commands))

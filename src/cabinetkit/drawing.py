@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable
+from itertools import chain, compress
 
 import numpy as np
 
@@ -87,7 +86,7 @@ class DimensionSet:
         offset = self.offset
         if not -math.inf < offset < math.inf:
             raise ValueError(f"offset must be finite, got {offset!r}")
-        # The span turned a quarter and scaled by the offset (`_unit`'s arithmetic).
+        # The span's unit vector turned a quarter and scaled by the offset.
         px, py = -(dy / length) * offset, (dx / length) * offset
         line = (ax, ay), (bx, by) = (x0 + px, y0 + py), (x1 + px, y1 + py)
         if not (
@@ -111,12 +110,6 @@ class DimensionSet:
     def line_points(self) -> tuple[Point2, Point2]:
         """Endpoints of the dimension line (span shifted by the offset), worked out once."""
         return self._line
-
-
-def _unit(start: Point2, end: Point2) -> Point2:
-    dx, dy = end[0] - start[0], end[1] - start[1]
-    norm = math.hypot(dx, dy)
-    return (dx / norm, dy / norm)
 
 
 @dataclass(frozen=True)
@@ -198,8 +191,11 @@ def annotate(
     """Add dimension sets and functional symbols to rendered views.
 
     Each view gets its overall width and height, the spans of the instances
-    it draws that are at least MIN_EXTENT_MM long, and, in front and
-    section views, a symbol for each drawn shelf or door.
+    it draws that are at least MIN_EXTENT_MM long and not already
+    dimensioned, and, in front and section views, a symbol for each drawn
+    shelf or door. Spans and symbols are taken in a canonical order, sorted
+    by the instance's rect in the view and then by symbol kind, so the
+    annotations do not depend on the order of the model's instances.
     """
     extents = geometry.box_extents([instance.box for instance in model.instances])
     out: list[ViewDrawing] = []
@@ -217,7 +213,7 @@ def annotate(
                 annotations.append(DimensionSet((h0, v0), (h1, v0), -DIM_OFFSET_MM))
             if v1 > v0:
                 annotations.append(DimensionSet((h0, v0), (h0, v1), DIM_OFFSET_MM))
-            annotations.extend(_instance_dims(rects, bbox))
+            annotations.extend(_instance_dims(sorted(rects), bbox))
         if view.kind in (geometry.VIEW_FRONT, geometry.VIEW_SECTION):
             instances = [model.instances[i] for i in view.drawn]
             annotations.extend(_symbols(instances, rects, catalog))
@@ -226,11 +222,15 @@ def annotate(
 
 
 def _instance_dims(rects, view_bbox) -> list[DimensionSet]:
-    """Dimension salient instance spans: widths above, heights to the right."""
-    _, _, view_h1, view_v1 = view_bbox
+    """Dimension salient instance spans: widths above, heights to the right.
+
+    A span is dimensioned once: one whose ends round to the same whole mm
+    as the overall span or an earlier instance span is skipped.
+    """
+    view_h0, view_v0, view_h1, view_v1 = view_bbox
     dims: list[DimensionSet] = []
-    seen_h: set[tuple[int, int]] = set()
-    seen_v: set[tuple[int, int]] = set()
+    seen_h = {(round(view_h0), round(view_h1))}
+    seen_v = {(round(view_v0), round(view_v1))}
     h_stack = 0
     v_stack = 0
     for h0, v0, h1, v1 in rects:
@@ -252,19 +252,24 @@ def _instance_dims(rects, view_bbox) -> list[DimensionSet]:
 
 
 def _symbols(instances, rects, catalog: PrimitiveCatalog) -> list[SymbolMark]:
-    marks: list[SymbolMark] = []
-    for instance, (h0, v0, h1, v1) in zip(instances, rects):
+    """A symbol per shelf or door with a role, sorted by its rect and then its kind."""
+    marks: list[tuple[tuple[float, float, float, float], str]] = []
+    for instance, rect in zip(instances, rects):
         schema = catalog.get(instance.model_id)
-        if schema is None or schema.role is None:
+        if schema is None:
             continue
-        anchor = ((h0 + h1) / 2.0, (v0 + v1) / 2.0)
         if schema.role == ROLE_ADJUSTABLE_SHELF:
-            marks.append(SymbolMark(SYMBOL_SHELF_CIRCLE, anchor))
+            marks.append((rect, SYMBOL_SHELF_CIRCLE))
         elif schema.role == ROLE_DOOR:
-            marks.append(
-                SymbolMark(SYMBOL_DOOR_TRIANGLE, anchor, width=h1 - h0, height=v1 - v0)
-            )
-    return marks
+            marks.append((rect, SYMBOL_DOOR_TRIANGLE))
+    out: list[SymbolMark] = []
+    for (h0, v0, h1, v1), kind in sorted(marks):
+        anchor = ((h0 + h1) / 2.0, (v0 + v1) / 2.0)
+        if kind == SYMBOL_SHELF_CIRCLE:
+            out.append(SymbolMark(kind, anchor))
+        else:
+            out.append(SymbolMark(kind, anchor, width=h1 - h0, height=v1 - v0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -289,39 +294,60 @@ class NoiseSpec:
 def inject_noise(views: list[ViewDrawing], spec: NoiseSpec, seed: int) -> list[ViewDrawing]:
     """Deterministically degrade the geometry layer; annotations untouched.
 
-    Each kept segment's endpoints move by one row of normal jitter, taken as
-    Python floats, so the noisy geometry stays Python floats.
+    The noise comes from four draws per call, each skipped when its rate or
+    sigma is 0, in this order: one row of normal endpoint jitter per segment
+    of all views, in view order, so a segment's jitter depends only on the
+    seed, the sigma and its place; one uniform per segment, which drops it
+    below `p_drop`; one binomial count of spurious strokes per view; and one
+    row of four uniforms per stroke. The noisy geometry stays Python floats.
     """
     if seed < 0:
         raise ValueError(f"noise seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
+    sizes = [len(view.segments) for view in views]
+    total = sum(sizes)
+    segments = list(chain.from_iterable(view.segments for view in views))
+    if spec.jitter_sigma > 0:
+        jitter = rng.normal(0.0, spec.jitter_sigma, size=(total, 4)).tolist()
+        segments = [
+            ((p[0] + jx0, p[1] + jy0), (q[0] + jx1, q[1] + jy1))
+            for (p, q), (jx0, jy0, jx1, jy1) in zip(segments, jitter)
+        ]
+    keep = None
+    if spec.p_drop > 0:
+        keep = (rng.random(total) >= spec.p_drop).tolist()
+    counts, strokes = [0] * len(views), iter(())
+    if spec.p_spurious > 0:
+        counts = rng.binomial(sizes, spec.p_spurious).tolist()
+        strokes = iter(rng.random((sum(counts), 4)).tolist())
     out: list[ViewDrawing] = []
-    for view in views:
-        segments: list[Segment] = []
-        for p, q in view.segments:
-            if rng.random() < spec.p_drop:
-                continue
-            if spec.jitter_sigma > 0:
-                jx0, jy0, jx1, jy1 = rng.normal(0.0, spec.jitter_sigma, size=4).tolist()
-                p = (p[0] + jx0, p[1] + jy0)
-                q = (q[0] + jx1, q[1] + jy1)
-            segments.append((p, q))
-        if spec.p_spurious > 0 and view.segments:
+    end = 0
+    for view, size, count in zip(views, sizes, counts):
+        start, end = end, end + size
+        kept = segments[start:end]
+        if keep is not None:
+            kept = list(compress(kept, keep[start:end]))
+        if count:
             bbox = _segments_bbox(view.segments)
-            count = int(rng.binomial(len(view.segments), spec.p_spurious))
-            for _ in range(count):
-                segments.append(_spurious_segment(rng, bbox))
-        out.append(ViewDrawing(view.kind, segments, list(view.annotations), view.drawn))
+            kept += [_spurious_segment(bbox, *next(strokes)) for _ in range(count)]
+        out.append(ViewDrawing(view.kind, kept, list(view.annotations), view.drawn))
     return out
 
 
-def _spurious_segment(rng, bbox) -> Segment:
+def _spurious_segment(bbox, u_h: float, u_v: float, u_length: float, u_angle: float) -> Segment:
+    """A stroke 5-30 mm long at any angle, placed by uniforms in [0, 1).
+
+    It lies inside `bbox` along each axis that is at least as long as the
+    stroke's extent there, and spans the bbox along the others.
+    """
     h0, v0, h1, v1 = bbox
-    x = rng.uniform(h0, h1)
-    y = rng.uniform(v0, v1)
-    length = rng.uniform(5.0, 30.0)
-    angle = rng.uniform(0.0, 2 * math.pi)
-    return ((x, y), (x + length * math.cos(angle), y + length * math.sin(angle)))
+    length = 5.0 + 25.0 * u_length
+    angle = 2.0 * math.pi * u_angle
+    dh, dv = length * math.cos(angle), length * math.sin(angle)
+    # The stroke's lower end along each axis is uniform over the room left.
+    h = h0 + u_h * (h1 - h0 - abs(dh)) + max(-dh, 0.0)
+    v = v0 + u_v * (v1 - v0 - abs(dv)) + max(-dv, 0.0)
+    return ((h, v), (h + dh, v + dv))
 
 
 @dataclass(frozen=True)
@@ -373,14 +399,25 @@ def layout_sheet(views: list[ViewDrawing]) -> Sheet:
 
     The canonical {front, top, side} set follows the third-angle layout
     (top above front, side right of front, aligned). Any other combination
-    uses a row-major grid of uniform cells.
+    uses a row-major grid of uniform cells. Views whose extents leave no
+    positive, finite scale (extents a float range apart, or a single point)
+    raise ValueError naming the extents.
     """
     if not 1 <= len(views) <= 5:
         raise ValueError("a sheet holds between 1 and 5 views")
+    extents = [_view_extent(v) for v in views]
     kinds = [v.kind for v in views]
     if sorted(kinds) == ["front", "side", "top"]:
-        return _layout_canonical(views)
-    return _layout_grid(views)
+        sheet = _layout_canonical(views, extents)
+    else:
+        sheet = _layout_grid(views, extents)
+    if not 0.0 < sheet.scale < math.inf:
+        named = ", ".join(f"{kind} {extent!r}" for kind, extent in zip(kinds, extents))
+        raise ValueError(
+            f"view extents (h0, v0, h1, v1) leave no positive finite scale, "
+            f"got {sheet.scale!r}: {named}"
+        )
+    return sheet
 
 
 def _room(gaps: int) -> float:
@@ -388,11 +425,14 @@ def _room(gaps: int) -> float:
     return DEFAULT_CANVAS_PX - 2 * MARGIN_PX - gaps * VIEW_GAP_PX
 
 
-def _layout_canonical(views) -> Sheet:
-    by_kind = {v.kind: v for v in views}
-    front = _view_extent(by_kind["front"])
-    top = _view_extent(by_kind["top"])
-    side = _view_extent(by_kind["side"])
+def _fit(room: float, length: float) -> float:
+    """The scale that fits `length` mm into `room` px; any scale fits nothing."""
+    return room / length if length > 0 else math.inf
+
+
+def _layout_canonical(views, extents) -> Sheet:
+    by_kind = {v.kind: extent for v, extent in zip(views, extents)}
+    front, top, side = by_kind["front"], by_kind["top"], by_kind["side"]
 
     # Column 1 (front under top) shares the x axis; row heights: the top
     # view's depth above, front/side height below.
@@ -406,7 +446,7 @@ def _layout_canonical(views) -> Sheet:
     total_w = (col1_h1 - col1_h0) + col2_w
     total_h = (row_top_v1 - row_top_v0) + (row_bot_v1 - row_bot_v0)
     avail = _room(1)
-    scale = min(avail / total_w, avail / total_h)
+    scale = min(_fit(avail, total_w), _fit(avail, total_h))
 
     origin_x = (DEFAULT_CANVAS_PX - (scale * total_w + VIEW_GAP_PX)) / 2.0
     origin_y = (DEFAULT_CANVAS_PX - (scale * total_h + VIEW_GAP_PX)) / 2.0
@@ -435,14 +475,13 @@ def _layout_canonical(views) -> Sheet:
 _GRID_SHAPES = {1: (1, 1), 2: (1, 2), 3: (1, 3), 4: (2, 2), 5: (2, 3)}
 
 
-def _layout_grid(views) -> Sheet:
+def _layout_grid(views, extents) -> Sheet:
     rows, cols = _GRID_SHAPES[len(views)]
-    extents = [_view_extent(v) for v in views]
     cell_w = max(e[2] - e[0] for e in extents)
     cell_h = max(e[3] - e[1] for e in extents)
     avail_w = _room(cols - 1)
     avail_h = _room(rows - 1)
-    scale = min(avail_w / (cols * cell_w), avail_h / (rows * cell_h))
+    scale = min(_fit(avail_w, cols * cell_w), _fit(avail_h, rows * cell_h))
     used_w = cols * scale * cell_w + (cols - 1) * VIEW_GAP_PX
     used_h = rows * scale * cell_h + (rows - 1) * VIEW_GAP_PX
     origin_x = (DEFAULT_CANVAS_PX - used_w) / 2.0
@@ -472,6 +511,14 @@ def _fmt(value: float) -> str:
     return "0" if text == "-0" else text
 
 
+class _Texts(dict):
+    """Formatted numbers by value: `texts[value]` formats each value once."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = _fmt(value)
+        return text
+
+
 def to_svg(sheet: Sheet, layers: frozenset[str] = LAYERS) -> str:
     """Deterministic SVG holding the named groups in `layers`, a subset of LAYERS.
 
@@ -487,12 +534,12 @@ def to_svg(sheet: Sheet, layers: frozenset[str] = LAYERS) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{c}" height="{c}" '
         f'viewBox="0 0 {c} {c}">',
     ]
+    scale = sheet.scale
     if "geometry" in layers:
         lines.append(
             f'<g id="geometry" fill="none" stroke="{GEOMETRY_COLOR}" '
             f'stroke-width="{_fmt(GEOMETRY_STROKE_PX)}">'
         )
-        scale = sheet.scale
         for placed in sheet.views:
             dx, dy = placed.dx, placed.dy
             for p, q in placed.view.segments:  # `Sheet.to_px`, inlined
@@ -502,98 +549,75 @@ def to_svg(sheet: Sheet, layers: frozenset[str] = LAYERS) -> str:
                 )
         lines.append("</g>")
     if "annotation" in layers:
-        texts: dict[float, str] = {}
-
-        def fmt(value: float) -> str:
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = _fmt(value)
-            return text
-
+        texts = _Texts()
         lines.append(
             f'<g id="annotation" fill="none" stroke="{ANNOTATION_COLOR}" '
-            f'stroke-width="{fmt(ANNOTATION_STROKE_PX)}" '
-            f'font-size="{fmt(FONT_PX)}">'
+            f'stroke-width="{texts[ANNOTATION_STROKE_PX]}" '
+            f'font-size="{texts[FONT_PX]}">'
         )
+        half = ARROW_PX * 0.3
+        nudge = FONT_PX * 0.45
         for placed in sheet.views:
+            dx, dy = placed.dx, placed.dy
             for ann in placed.view.annotations:
-                if isinstance(ann, DimensionSet):
-                    lines.extend(_svg_dimension(sheet, placed, ann, fmt))
-                else:
-                    lines.extend(_svg_symbol(sheet, placed, ann, fmt))
+                if not isinstance(ann, DimensionSet):
+                    lines.extend(_svg_symbol(sheet, placed, ann, texts))
+                    continue
+                # Extension lines from the span's ends `s` and `e` to the
+                # dimension line's ends `a` and `b`, the dimension line, an
+                # arrowhead at each of its ends and the label, all in px;
+                # each point is formatted once.
+                (ax, ay), (bx, by) = ann.line_points()
+                ax, ay = scale * ax + dx, dy - scale * ay
+                bx, by = scale * bx + dx, dy - scale * by
+                (sx, sy), (ex, ey) = ann.start, ann.end
+                sx, sy = texts[scale * sx + dx], texts[dy - scale * sy]
+                ex, ey = texts[scale * ex + dx], texts[dy - scale * ey]
+                a_x, a_y, b_x, b_y = texts[ax], texts[ay], texts[bx], texts[by]
+                # The unit vector from a to b; the arrowhead at a points along
+                # its negation, which is exact.
+                ux, uy = bx - ax, by - ay
+                norm = math.hypot(ux, uy)
+                ux, uy = ux / norm, uy / norm
+                # Arrowhead bases, one ARROW_PX back from each tip.
+                cx, cy = ax + ux * ARROW_PX, ay + uy * ARROW_PX
+                fx, fy = bx - ux * ARROW_PX, by - uy * ARROW_PX
+                # The label sits off the line's middle, against the px-space normal.
+                tx = (ax + bx) / 2.0 + uy * nudge
+                ty = (ay + by) / 2.0
+                ty = ty - ux * nudge if ux != 0 else ty - FONT_PX * 0.35
+                lines += (
+                    f'<line x1="{sx}" y1="{sy}" x2="{a_x}" y2="{a_y}"/>',
+                    f'<line x1="{ex}" y1="{ey}" x2="{b_x}" y2="{b_y}"/>',
+                    f'<line x1="{a_x}" y1="{a_y}" x2="{b_x}" y2="{b_y}"/>',
+                    f'<path d="M {a_x} {a_y} L {texts[cx + uy * half]} {texts[cy - ux * half]} '
+                    f'L {texts[cx - uy * half]} {texts[cy + ux * half]} Z" '
+                    f'fill="{ANNOTATION_COLOR}" stroke="none"/>',
+                    f'<path d="M {b_x} {b_y} L {texts[fx - uy * half]} {texts[fy + ux * half]} '
+                    f'L {texts[fx + uy * half]} {texts[fy - ux * half]} Z" '
+                    f'fill="{ANNOTATION_COLOR}" stroke="none"/>',
+                    f'<text x="{texts[tx]}" y="{texts[ty]}" text-anchor="middle" '
+                    f'stroke="none" fill="{ANNOTATION_COLOR}">{ann.label}</text>',
+                )
         lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _svg_line(a: tuple[str, str], b: tuple[str, str]) -> str:
-    """A line between two points given as formatted (x, y) text."""
-    return f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}"/>'
-
-
-def _svg_dimension(
-    sheet: Sheet, placed: PlacedView, dim: DimensionSet, fmt: Callable[[float], str]
-) -> list[str]:
-    line_a, line_b = dim.line_points()
-    start_x, start_y = sheet.to_px(placed, dim.start)
-    end_x, end_y = sheet.to_px(placed, dim.end)
-    a_px = sheet.to_px(placed, line_a)
-    b_px = sheet.to_px(placed, line_b)
-    # Each point is formatted once, though lines and arrows share them.
-    start = (fmt(start_x), fmt(start_y))
-    end = (fmt(end_x), fmt(end_y))
-    a = (fmt(a_px[0]), fmt(a_px[1]))
-    b = (fmt(b_px[0]), fmt(b_px[1]))
-    out = [
-        _svg_line(start, a),
-        _svg_line(end, b),
-        _svg_line(a, b),
-        _svg_arrow(a_px, b_px, a, fmt),
-        _svg_arrow(b_px, a_px, b, fmt),
-    ]
-    mid_x = (a_px[0] + b_px[0]) / 2.0
-    mid_y = (a_px[1] + b_px[1]) / 2.0
-    # Nudge the label off the dimension line, against the px-space normal.
-    ux, uy = _unit(a_px, b_px)
-    tx = mid_x + uy * (FONT_PX * 0.45)
-    ty = mid_y - ux * (FONT_PX * 0.45) if ux != 0 else mid_y - FONT_PX * 0.35
-    out.append(
-        f'<text x="{fmt(tx)}" y="{fmt(ty)}" text-anchor="middle" '
-        f'stroke="none" fill="{ANNOTATION_COLOR}">{dim.label}</text>'
-    )
-    return out
-
-
-def _svg_arrow(
-    tip: Point2, other: Point2, tip_text: tuple[str, str], fmt: Callable[[float], str]
-) -> str:
-    """Filled arrowhead at `tip` (formatted as `tip_text`), pointing away from `other`."""
-    ux, uy = _unit(other, tip)
-    bx = tip[0] - ux * ARROW_PX
-    by = tip[1] - uy * ARROW_PX
-    half = ARROW_PX * 0.3
-    p1 = (bx - uy * half, by + ux * half)
-    p2 = (bx + uy * half, by - ux * half)
-    return (
-        f'<path d="M {tip_text[0]} {tip_text[1]} L {fmt(p1[0])} {fmt(p1[1])} '
-        f'L {fmt(p2[0])} {fmt(p2[1])} Z" fill="{ANNOTATION_COLOR}" stroke="none"/>'
-    )
-
-
 def _svg_symbol(
-    sheet: Sheet, placed: PlacedView, mark: SymbolMark, fmt: Callable[[float], str]
+    sheet: Sheet, placed: PlacedView, mark: SymbolMark, texts: _Texts
 ) -> list[str]:
     cx, cy = sheet.to_px(placed, mark.anchor)
     if mark.kind == SYMBOL_SHELF_CIRCLE:
         radius = sheet.scale * mark.width / 2.0
         return [
-            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(radius)}" '
+            f'<circle cx="{texts[cx]}" cy="{texts[cy]}" r="{texts[radius]}" '
             f'stroke="{SYMBOL_COLOR}"/>'
         ]
     # Door opening triangle: hinge edge on the left, apex at mid right.
     w = sheet.scale * mark.width / 2.0
     h = sheet.scale * mark.height / 2.0
     return [
-        f'<path d="M {fmt(cx - w)} {fmt(cy - h)} L {fmt(cx - w)} {fmt(cy + h)} '
-        f'L {fmt(cx + w)} {fmt(cy)} Z" stroke="{SYMBOL_COLOR}"/>'
+        f'<path d="M {texts[cx - w]} {texts[cy - h]} L {texts[cx - w]} {texts[cy + h]} '
+        f'L {texts[cx + w]} {texts[cy]} Z" stroke="{SYMBOL_COLOR}"/>'
     ]

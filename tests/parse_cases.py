@@ -724,6 +724,15 @@ def dumps(cases: list[dict]) -> str:
     return "[\n" + ",\n".join(json.dumps(case, ensure_ascii=True) for case in cases) + "\n]\n"
 
 
+def fixtures(catalog) -> dict[Path, list[dict]]:
+    """Each pinned parse file and the records it holds."""
+    return {
+        FIXTURE: [outcome(text, catalog) for text in case_inputs()],
+        YAML_FIXTURE: [yaml_outcome(text) for text in yaml_case_inputs()],
+        YAML_MODELS_FIXTURE: [yaml_model_outcome(text, catalog) for text in yaml_program_inputs()],
+    }
+
+
 def main_script() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--write", action="store_true", help="re-record the fixtures")
@@ -732,14 +741,8 @@ def main_script() -> int:
         parser.error("pass --write to re-record the fixtures")
     from cabinetkit import builtin_catalog
 
-    catalog = builtin_catalog()
-    cases = [outcome(text, catalog) for text in case_inputs()]
-    yaml_cases = [yaml_outcome(text) for text in yaml_case_inputs()]
-    model_cases = [yaml_model_outcome(text, catalog) for text in yaml_program_inputs()]
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    for path, recorded in (
-        (FIXTURE, cases), (YAML_FIXTURE, yaml_cases), (YAML_MODELS_FIXTURE, model_cases)
-    ):
+    for path, recorded in fixtures(builtin_catalog()).items():
         path.write_text(dumps(recorded), encoding="utf-8")
         print(f"wrote {len(recorded)} cases to {path}")
     return 0

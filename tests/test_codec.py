@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cabinetkit import (
     CabinetModel,
     OrientedBox,
+    PrimitiveInstance,
     SynthSpec,
     generate,
     iou3d,
@@ -221,3 +223,87 @@ class TestWireFormat:
             if key in seen:
                 assert seen[key] == (position, size)
             seen[key] = (position, size)
+
+
+# Positions and sizes at and around the bin edges and the clamp range
+# [0, 4500] mm, the box domain's ends, and anything in between.
+CODEC_POSITIONS = (
+    st.sampled_from([0.0, -0.0, 2.9999999999999996, 3.0, 4497.0, 4499.999999999999, 4500.0,
+                     4500.000000000001, -1e-300, -3.0, 1e6, -1e6])
+    | st.integers(-1000, 2000).map(lambda k: k * LENGTH_RESOLUTION_MM)
+    | st.floats(-10.0, 4510.0)
+    | st.floats(-1e6, 1e6)
+)
+CODEC_SIZES = (
+    st.sampled_from([0.1, 2.9999999999999996, 3.0, 4499.999999999999, 4500.0,
+                     4500.000000000001, 1e6])
+    | st.integers(1, 2000).map(lambda k: k * LENGTH_RESOLUTION_MM)
+    | st.floats(0.1, 4510.0)
+    | st.floats(0.1, 1e6)
+)
+CODEC_ROTATIONS = (
+    st.integers(-16, 16).map(lambda k: k * 45.0)
+    | st.sampled_from([44.99999999999999, 45.00000000000001, 359.99999999999994, -0.0])
+    | st.floats(-1e6, 1e6)
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def codec_instances(draw, model_ids):
+    """An instance of any catalog ID or an unknown one; now and then a field is
+    made non-finite behind `OrientedBox`'s back, as no parser would allow."""
+    position = tuple(draw(CODEC_POSITIONS) for _ in range(3))
+    size = tuple(draw(CODEC_SIZES) for _ in range(3))
+    box = OrientedBox(position, size, draw(CODEC_ROTATIONS))
+    field = draw(st.sampled_from([None] * 6 + ["position", "size", "rotation_deg"]))
+    if field == "rotation_deg":
+        object.__setattr__(box, field, draw(NON_FINITE))
+    elif field is not None:
+        values = list(getattr(box, field))
+        values[draw(st.integers(0, 2))] = draw(NON_FINITE)
+        object.__setattr__(box, field, tuple(values))
+    model_id = draw(st.sampled_from(model_ids) | st.just("M-NOPE"))
+    return PrimitiveInstance(model_id=model_id, box=box)
+
+
+def reference_commands(model, catalog) -> tuple[str, int]:
+    """The wire text field by field from the quantizers and the catalog's slot order,
+    and the number of lengths outside [0, 4500] mm."""
+    lines = ["<s>"]
+    clamped = 0
+    for instance in model.instances:
+        if instance.model_id not in catalog.model_ids:
+            raise KeyError(f"unknown model_id {instance.model_id!r}")
+        lengths = instance.box.position + instance.box.size
+        tokens = [catalog.model_ids.index(instance.model_id)]
+        tokens += [quantize_length(c) for c in lengths]
+        tokens.append(quantize_rotation(instance.box.rotation_deg))
+        clamped += sum(not 0.0 <= c <= 4500.0 for c in lengths)
+        lines.append(" ".join(map(str, tokens)))
+    lines.append("</s>")
+    return "\n".join(lines) + "\n", clamped
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_encode_equals_the_per_field_reference(catalog, data):
+    from unittest import mock
+
+    from cabinetkit import codec
+
+    instances = data.draw(st.lists(codec_instances(catalog.model_ids), min_size=1, max_size=8))
+    model = CabinetModel(tuple(instances))
+    try:
+        expected, clamped = reference_commands(model, catalog)
+    except (KeyError, CodecError) as exc:
+        with mock.patch.object(codec.logger, "warning") as warning:
+            with pytest.raises(type(exc)) as raised:
+                encode(model, catalog)
+        assert str(raised.value) == str(exc)
+        assert warning.call_args_list == []
+        return
+    with mock.patch.object(codec.logger, "warning") as warning:
+        assert format_commands(encode(model, catalog)) == expected
+    calls = [mock.call("%d length(s) outside [0, %.0f] mm clamped", clamped, 4500.0)]
+    assert warning.call_args_list == (calls if clamped else [])

@@ -2,6 +2,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,10 @@ from cabinetkit.drawing import (
 )
 from cabinetkit.geometry import MAX_MM, model_aabb
 
-from helpers import box_corners, to_svg_oracle
+from helpers import box_corners, synthesized_models, tilted, to_svg_oracle
+
+
+NOISE_VIEWS = ["front", "top", "side", "section"]
 
 
 def geometry_group(svg: str) -> str:
@@ -161,6 +165,50 @@ class TestAnnotate:
                         assert abs(int(ann.label) - measured) < 1e-9
 
 
+    def test_no_instance_dimension_repeats_the_overall_span(self, catalog):
+        """In the 200 pinned default-spec models, each overall span is dimensioned once."""
+        from drawing_cases import DEFAULT_SEEDS, VIEWS
+
+        for seed in DEFAULT_SEEDS:
+            model = generate(SynthSpec(seed=seed), catalog)
+            for view in annotate(render_views(model, VIEWS), model, catalog):
+                hs, vs = zip(*(p for segment in view.segments for p in segment))
+                overall_h = (round(min(hs)), round(max(hs)))
+                overall_v = (round(min(vs)), round(max(vs)))
+                dims = [a for a in view.annotations if isinstance(a, DimensionSet)]
+                widths = [(round(d.start[0]), round(d.end[0])) for d in dims if d.start[1] == d.end[1]]
+                heights = [(round(d.start[1]), round(d.end[1])) for d in dims if d.start[0] == d.end[0]]
+                assert len(widths) + len(heights) == len(dims)
+                assert widths.count(overall_h) == 1, (seed, view.kind)
+                assert heights.count(overall_v) == 1, (seed, view.kind)
+                assert len(set(widths)) == len(widths) and len(set(heights)) == len(heights)
+
+
+@st.composite
+def permuted_models(draw):
+    """A default-spec model, its instances in another order, and whether it is tilted."""
+    seed = draw(st.integers(0, 10**6))
+    model = generate(SynthSpec(seed=seed))
+    if draw(st.booleans()):
+        model = tilted(model, seed)
+    order = draw(st.permutations(range(len(model))))
+    return seed, model, CabinetModel(tuple(model.instances[i] for i in order))
+
+
+@given(permuted_models(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_drawing_does_not_depend_on_the_instance_order(catalog, case, noisy):
+    seed, model, permuted = case
+
+    def svg(m):
+        views = annotate(render_views(m, ["front", "top", "side", "section"]), m, catalog)
+        if noisy:
+            views = inject_noise(views, NoiseSpec(0.05, 0.5, 0.05), seed=seed)
+        return to_svg(layout_sheet(views))
+
+    assert svg(permuted) == svg(model)
+
+
 class TestLayout:
     def test_canonical_alignment(self, catalog, simple_model):
         views = render_views(simple_model, ["front", "top", "side"])
@@ -227,6 +275,30 @@ class TestLayout:
                             assert -1e-6 <= x <= DEFAULT_CANVAS_PX + 1e-6
                             assert -1e-6 <= y <= DEFAULT_CANVAS_PX + 1e-6
 
+    def test_views_a_float_range_apart_raise_instead_of_writing_nan(self):
+        """Each dimension set is valid, but the view's width overflows to inf."""
+        view = ViewDrawing(
+            "front",
+            [((0.0, 0.0), (10.0, 0.0))],
+            [
+                DimensionSet((-1e308, 0.0), (-9e307, 0.0), 1.0),
+                DimensionSet((9e307, 0.0), (1e308, 0.0), 1.0),
+            ],
+        )
+        pattern = r"leave no positive finite scale, got 0\.0: front \(-1e\+308, 0\.0, 1e\+308, 1\.0\)$"
+        with pytest.raises(ValueError, match=pattern):
+            layout_sheet([view])
+
+    def test_a_single_point_view_raises(self):
+        view = ViewDrawing("front", [((1.0, 2.0), (1.0, 2.0))])
+        with pytest.raises(ValueError, match=r"got inf: front \(1\.0, 2\.0, 1\.0, 2\.0\)$"):
+            layout_sheet([view])
+
+    def test_a_flat_view_takes_its_scale_from_its_width(self):
+        sheet = layout_sheet([ViewDrawing("front", [((0.0, 0.0), (10.0, 0.0))])])
+        assert sheet.scale == (DEFAULT_CANVAS_PX - 2 * MARGIN_PX) / 10.0
+        assert "nan" not in to_svg(sheet)
+
     def test_default_canvas_is_512(self, catalog, simple_model):
         svg = to_svg(layout_sheet(render_views(simple_model, ["front"])))
         assert DEFAULT_CANVAS_PX == 512
@@ -238,11 +310,68 @@ class TestNoise:
         views = render_views(simple_model, ["front", "top"])
         assert inject_noise(views, NoiseSpec(0, 0, 0), seed=3) == views
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_rates_leave_the_geometry_unchanged(self, catalog, seed):
+        for model in synthesized_models(catalog, seed):
+            views = annotate(render_views(model, NOISE_VIEWS), model, catalog)
+            assert inject_noise(views, NoiseSpec(0.0, 0.0, 0.0), seed=seed) == views
+
     def test_drop_all_keeps_annotations(self, catalog, simple_model):
         views = annotate(render_views(simple_model, ["front"]), simple_model, catalog)
         noisy = inject_noise(views, NoiseSpec(1.0, 0.0, 0.0), seed=3)
         assert noisy[0].segments == []
         assert noisy[0].annotations == views[0].annotations
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_drop_all_keeps_no_geometry_and_every_annotation(self, catalog, seed):
+        for model in synthesized_models(catalog, seed):
+            views = annotate(render_views(model, NOISE_VIEWS), model, catalog)
+            noisy = inject_noise(views, NoiseSpec(1.0, 2.0, 0.0), seed=seed)
+            assert [v.segments for v in noisy] == [[] for _ in views]
+            assert [v.annotations for v in noisy] == [v.annotations for v in views]
+            assert [(v.kind, v.drawn) for v in noisy] == [(v.kind, v.drawn) for v in views]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spurious_strokes_lie_inside_the_view_bbox(self, catalog, seed):
+        """Every original segment dropped, one stroke per segment instead."""
+        for model in synthesized_models(catalog, seed):
+            views = render_views(model, NOISE_VIEWS)
+            noisy = inject_noise(views, NoiseSpec(1.0, 0.0, 1.0), seed=seed)
+            for view, strokes in zip(views, noisy):
+                assert len(strokes.segments) == len(view.segments)
+                hs, vs = zip(*(p for segment in view.segments for p in segment))
+                h0, v0, h1, v1 = min(hs), min(vs), max(hs), max(vs)
+                tol = 1e-9 * max(abs(h0), abs(h1), abs(v0), abs(v1))
+                for (ax, ay), (bx, by) in strokes.segments:
+                    assert 5.0 - 1e-9 <= math.hypot(bx - ax, by - ay) <= 30.0 + 1e-9
+                    for x in (ax, bx):
+                        assert h0 - tol <= x <= h1 + tol
+                    for y in (ay, by):
+                        assert v0 - tol <= y <= v1 + tol
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_jitter_depends_only_on_the_seed_and_the_place(self, catalog, seed):
+        """Segment k of the views, in view order, moves by row k of one normal draw."""
+        model = generate(SynthSpec(seed=seed), catalog)
+        views = annotate(render_views(model, NOISE_VIEWS), model, catalog)
+        segments = [segment for view in views for segment in view.segments]
+        rows = np.random.default_rng(seed).normal(0.0, 1.5, size=(len(segments), 4)).tolist()
+        expected = [
+            ((p[0] + a, p[1] + b), (q[0] + c, q[1] + d))
+            for (p, q), (a, b, c, d) in zip(segments, rows)
+        ]
+        jittered = inject_noise(views, NoiseSpec(0.0, 1.5, 0.0), seed=seed)
+        assert [s for view in jittered for s in view.segments] == expected
+        # Drops and spurious strokes draw after the jitter: the segments kept
+        # are the same rows, in order, and the strokes follow them per view.
+        noisy = inject_noise(views, NoiseSpec(0.3, 1.5, 0.2), seed=seed)
+        kept_count = 0
+        for plain, degraded in zip(jittered, noisy):
+            rows = iter(plain.segments)
+            kept = [s for s in degraded.segments if any(s == row for row in rows)]
+            assert degraded.segments[:len(kept)] == kept
+            kept_count += len(kept)
+        assert 0 < kept_count < len(segments)
 
     def test_seed_determinism(self, catalog, simple_model):
         views = render_views(simple_model, ["front", "top", "side"])
