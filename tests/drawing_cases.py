@@ -9,7 +9,10 @@ any change to a drawn byte shows up. The cases are:
   `NOISE` at noise seed = model seed;
 * 40-48-box seeds 0-19, drawn front, top, side and section, with every box
   turned by one to three quarter turns, and tilted by 1 to 12 degrees
-  either way (`helpers.tilted`).
+  either way (`helpers.tilted`);
+* default-spec seeds 0-19, drawn plain in one of `GRID_VIEWS` (the seed
+  mod 5 picks it): the view sets other than {front, top, side}, one of
+  them with an empty table cell.
 
 Usage: python3 tests/drawing_cases.py --write
 Only re-record on a commit whose drawings are trusted.
@@ -30,6 +33,14 @@ DEFAULT_SEEDS = range(200)
 DENSE_SEEDS = range(20)
 VIEWS = ["front", "top", "side"]
 DENSE_VIEWS = ["front", "top", "side", "section"]
+GRID_SEEDS = range(20)
+GRID_VIEWS = [
+    ["front"],
+    ["front", "top"],
+    ["front", "section"],
+    ["front", "side", "section"],
+    ["top", "front", "side", "section", "top"],
+]
 NOISE = dict(p_drop=0.05, jitter_sigma=0.5, p_spurious=0.05)
 
 
@@ -70,6 +81,10 @@ def outcomes(catalog) -> list[dict]:
         model = generate(SynthSpec(seed=seed, count_range=(40, 48)), catalog)
         cases.append((f"dense seed {seed}, quarter", draw(quartered(model, seed), DENSE_VIEWS, catalog)))
         cases.append((f"dense seed {seed}, tilted", draw(tilted(model, seed), DENSE_VIEWS, catalog)))
+    for seed in GRID_SEEDS:
+        views = GRID_VIEWS[seed % len(GRID_VIEWS)]
+        model = generate(SynthSpec(seed=seed), catalog)
+        cases.append((f"default seed {seed}, {'/'.join(views)}, grid", draw(model, views, catalog)))
     return [
         {"case": case, "sha256": hashlib.sha256(svg.encode("utf-8")).hexdigest()}
         for case, svg in cases

@@ -9,8 +9,9 @@ output is compared with the committed file:
 * totals: `perfbench/record_totals.py`, the report counts that changed,
   per workload and seed;
 * drawings: `drawing_cases.py`, the SVG hashes that changed, per case
-  family (`plain`, `noisy`, `quarter`, `tilted`; the last two are the
-  dense models, drawn with a section view);
+  family (`plain`, `noisy`, `quarter`, `tilted`, `grid`; `quarter` and
+  `tilted` are the dense models, drawn with a section view, and `grid`
+  the view sets other than front, top and side);
 * goldens: `golden_fixtures.py`, the files of `tests/golden/` that changed;
 * demos: the six demos, run from a copy, the drawings of `demos/out/`
   that changed.

@@ -5,7 +5,8 @@ import pin_diff
 
 def test_reports_no_drawing_change_on_a_clean_tree(catalog):
     assert pin_diff.drawing_report(catalog) == [
-        "drawings: 0 of 440 cases changed (plain 0 of 200, noisy 0 of 200, quarter 0 of 20, tilted 0 of 20)"
+        "drawings: 0 of 460 cases changed (plain 0 of 200, noisy 0 of 200, quarter 0 of 20, "
+        "tilted 0 of 20, grid 0 of 20)"
     ]
 
 
