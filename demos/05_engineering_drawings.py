@@ -39,9 +39,11 @@ front = annotated[0]
 labels = [a.label for a in front.annotations if isinstance(a, DimensionSet)]
 print("\nfront-view dimension labels:", labels)
 
-# 3. Lay the views out on the fixed 512x512 canvas. The canonical set puts
-#    top at the top left, front at the bottom left, side at the bottom right,
-#    with one shared scale.
+# 3. Lay the views out on the fixed 512x512 canvas as a table with one
+#    shared scale. The canonical set puts top at the top left, front at the
+#    bottom left, side at the bottom right; any other set fills a row-major
+#    grid. Each column spans its views' horizontal extents and each row
+#    their vertical ones, so views in one column or row stay aligned.
 sheet = layout_sheet(annotated)
 print(f"sheet scale: {sheet.scale:.4f} px/mm")
 
@@ -59,7 +61,8 @@ noisy = inject_noise(annotated, NoiseSpec(p_drop=0.08, jitter_sigma=2.0, p_spuri
 
 # A single view works too, as do section views cutting at a depth plane.
 # The section draws, dimensions and marks only the parts that reach behind
-# the model's mid depth: the doors in front of it drop out.
+# the model's mid depth: the doors in front of it drop out. Front and
+# section share a row, so they line up on z.
 single = annotate(render_views(model, ["front"]), model, catalog)
 (out_dir / "cabinet_front.svg").write_text(to_svg(layout_sheet(single)))
 section = annotate(render_views(model, ["front", "section"]), model, catalog)

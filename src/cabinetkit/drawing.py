@@ -11,9 +11,11 @@ A drawing is built in stages, each a pure function:
 3. ``inject_noise`` optionally degrades the geometry layer (segment
    drops, endpoint jitter, spurious strokes), deterministically per seed.
 4. ``layout_sheet`` places the views on the fixed 512 x 512 px canvas
-   with one uniform scale: the canonical three-view set
-   puts top at the top left, front at the bottom left, and side at the
-   bottom right; other view counts fall back to a row-major grid.
+   as a table with one uniform scale, aligning views on the world axes
+   they share: the canonical three-view set puts top at the top left,
+   front at the bottom left, and side at the bottom right; any other set
+   fills a row-major grid. Each column spans its views' horizontal
+   extents and each row their vertical ones.
 5. ``to_svg`` serializes with ``geometry`` and ``annotation`` as separate
    named groups so either layer can be toggled independently.
 """
@@ -394,30 +396,74 @@ def _view_extent(view: ViewDrawing) -> tuple[float, float, float, float]:
     return min(hs), min(vs), max(hs), max(vs)
 
 
-def layout_sheet(views: list[ViewDrawing]) -> Sheet:
-    """Place 1-5 views on the canvas with one shared scale.
+# The canonical set's table cells (row, column): third-angle projection.
+_CANONICAL_CELLS = {"top": (0, 0), "front": (1, 0), "side": (1, 1)}
+# Rows and columns of the table of any other set, filled row-major.
+_GRID_SHAPES = {1: (1, 1), 2: (1, 2), 3: (1, 3), 4: (2, 2), 5: (2, 3)}
 
-    The canonical {front, top, side} set follows the third-angle layout
-    (top above front, side right of front, aligned). Any other combination
-    uses a row-major grid of uniform cells. Views whose extents leave no
-    positive, finite scale (extents a float range apart, or a single point)
-    raise ValueError naming the extents.
+
+def layout_sheet(views: list[ViewDrawing]) -> Sheet:
+    """Place 1-5 views on the canvas as a table, with one shared scale.
+
+    Each view takes a cell (row, column). The canonical {front, top, side}
+    set follows the third-angle layout: top above front, side right of
+    front. Any other set fills a row-major grid of 1x1, 1x2, 1x3, 2x2 or
+    2x3 cells. A column spans its views' horizontal extents and a row their
+    vertical ones, so views in one column share their horizontal placement
+    and views in one row their vertical one. The scale fits the columns and
+    rows between VIEW_GAP_PX gaps into the canvas less MARGIN_PX each side,
+    the table is centred, and each view sits at its column's left edge and
+    its row's base. Views whose extents leave no positive, finite scale
+    (extents a float range apart, or a single point) raise ValueError
+    naming the extents.
     """
     if not 1 <= len(views) <= 5:
         raise ValueError("a sheet holds between 1 and 5 views")
     extents = [_view_extent(v) for v in views]
     kinds = [v.kind for v in views]
     if sorted(kinds) == ["front", "side", "top"]:
-        sheet = _layout_canonical(views, extents)
+        rows, cols = 2, 2
+        cells = [_CANONICAL_CELLS[kind] for kind in kinds]
     else:
-        sheet = _layout_grid(views, extents)
-    if not 0.0 < sheet.scale < math.inf:
+        rows, cols = _GRID_SHAPES[len(views)]
+        cells = [divmod(index, cols) for index in range(len(views))]
+    # The ends of each column's horizontal extents and each row's vertical ones.
+    col_ends: list[list[float]] = [[] for _ in range(cols)]
+    row_ends: list[list[float]] = [[] for _ in range(rows)]
+    for (row, col), (h0, v0, h1, v1) in zip(cells, extents):
+        col_ends[col] += (h0, h1)
+        row_ends[row] += (v0, v1)
+    col_h0 = [min(ends) for ends in col_ends]
+    row_v0 = [min(ends) for ends in row_ends]
+    widths = [max(ends) - h0 for ends, h0 in zip(col_ends, col_h0)]
+    heights = [max(ends) - v0 for ends, v0 in zip(row_ends, row_v0)]
+    # `fsum` rounds once, so the totals do not depend on the Python version.
+    total_w, total_h = math.fsum(widths), math.fsum(heights)
+    scale = min(_fit(_room(cols - 1), total_w), _fit(_room(rows - 1), total_h))
+    if not 0.0 < scale < math.inf:
         named = ", ".join(f"{kind} {extent!r}" for kind, extent in zip(kinds, extents))
         raise ValueError(
             f"view extents (h0, v0, h1, v1) leave no positive finite scale, "
-            f"got {sheet.scale!r}: {named}"
+            f"got {scale!r}: {named}"
         )
-    return sheet
+    # Columns left to right from the table's left edge; each dx puts the
+    # column's h0 at its left edge.
+    x = (DEFAULT_CANVAS_PX - (scale * total_w + (cols - 1) * VIEW_GAP_PX)) / 2.0
+    col_dx = []
+    for h0, width in zip(col_h0, widths):
+        col_dx.append(x - scale * h0)
+        x = x + scale * width + VIEW_GAP_PX
+    # Rows top to bottom; each dy puts the row's v0 at its base.
+    y = (DEFAULT_CANVAS_PX - (scale * total_h + (rows - 1) * VIEW_GAP_PX)) / 2.0
+    row_dy = []
+    for v0, height in zip(row_v0, heights):
+        base = y + scale * height
+        row_dy.append(base + scale * v0)
+        y = base + VIEW_GAP_PX
+    placed = tuple(
+        PlacedView(view, col_dx[col], row_dy[row]) for view, (row, col) in zip(views, cells)
+    )
+    return Sheet(scale=scale, views=placed)
 
 
 def _room(gaps: int) -> float:
@@ -428,79 +474,6 @@ def _room(gaps: int) -> float:
 def _fit(room: float, length: float) -> float:
     """The scale that fits `length` mm into `room` px; any scale fits nothing."""
     return room / length if length > 0 else math.inf
-
-
-def _layout_canonical(views, extents) -> Sheet:
-    by_kind = {v.kind: extent for v, extent in zip(views, extents)}
-    front, top, side = by_kind["front"], by_kind["top"], by_kind["side"]
-
-    # Column 1 (front under top) shares the x axis; row heights: the top
-    # view's depth above, front/side height below.
-    col1_h0 = min(front[0], top[0])
-    col1_h1 = max(front[2], top[2])
-    col2_w = side[2] - side[0]
-    row_top_v0, row_top_v1 = top[1], top[3]
-    row_bot_v0 = min(front[1], side[1])
-    row_bot_v1 = max(front[3], side[3])
-
-    total_w = (col1_h1 - col1_h0) + col2_w
-    total_h = (row_top_v1 - row_top_v0) + (row_bot_v1 - row_bot_v0)
-    avail = _room(1)
-    scale = min(_fit(avail, total_w), _fit(avail, total_h))
-
-    origin_x = (DEFAULT_CANVAS_PX - (scale * total_w + VIEW_GAP_PX)) / 2.0
-    origin_y = (DEFAULT_CANVAS_PX - (scale * total_h + VIEW_GAP_PX)) / 2.0
-    col1_x = origin_x
-    col2_x = origin_x + scale * (col1_h1 - col1_h0) + VIEW_GAP_PX
-    row_top_base = origin_y + scale * (row_top_v1 - row_top_v0)  # py of v = row_top_v0
-    row_bot_base = row_top_base + VIEW_GAP_PX + scale * (row_bot_v1 - row_bot_v0)
-
-    placed = []
-    for view in views:  # preserve caller order
-        if view.kind == "top":
-            placed.append(
-                PlacedView(view, col1_x - scale * col1_h0, row_top_base + scale * row_top_v0)
-            )
-        elif view.kind == "front":
-            placed.append(
-                PlacedView(view, col1_x - scale * col1_h0, row_bot_base + scale * row_bot_v0)
-            )
-        else:
-            placed.append(
-                PlacedView(view, col2_x - scale * side[0], row_bot_base + scale * row_bot_v0)
-            )
-    return Sheet(scale=scale, views=tuple(placed))
-
-
-_GRID_SHAPES = {1: (1, 1), 2: (1, 2), 3: (1, 3), 4: (2, 2), 5: (2, 3)}
-
-
-def _layout_grid(views, extents) -> Sheet:
-    rows, cols = _GRID_SHAPES[len(views)]
-    cell_w = max(e[2] - e[0] for e in extents)
-    cell_h = max(e[3] - e[1] for e in extents)
-    avail_w = _room(cols - 1)
-    avail_h = _room(rows - 1)
-    scale = min(_fit(avail_w, cols * cell_w), _fit(avail_h, rows * cell_h))
-    used_w = cols * scale * cell_w + (cols - 1) * VIEW_GAP_PX
-    used_h = rows * scale * cell_h + (rows - 1) * VIEW_GAP_PX
-    origin_x = (DEFAULT_CANVAS_PX - used_w) / 2.0
-    origin_y = (DEFAULT_CANVAS_PX - used_h) / 2.0
-
-    placed = []
-    for index, (view, extent) in enumerate(zip(views, extents)):
-        row, col = divmod(index, cols)
-        cell_x = origin_x + col * (scale * cell_w + VIEW_GAP_PX)
-        cell_y = origin_y + row * (scale * cell_h + VIEW_GAP_PX)
-        # center the view inside its cell
-        w = extent[2] - extent[0]
-        h = extent[3] - extent[1]
-        pad_x = (cell_w - w) * scale / 2.0
-        pad_y = (cell_h - h) * scale / 2.0
-        dx = cell_x + pad_x - scale * extent[0]
-        dy = cell_y + pad_y + scale * extent[3]
-        placed.append(PlacedView(view, dx, dy))
-    return Sheet(scale=scale, views=tuple(placed))
 
 
 def _fmt(value: float) -> str:

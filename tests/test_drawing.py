@@ -209,7 +209,49 @@ def test_drawing_does_not_depend_on_the_instance_order(catalog, case, noisy):
     assert svg(permuted) == svg(model)
 
 
+# Each view's table cell (row, column): the third-angle cells of the
+# canonical set, and the row-major cells of any other set, by its size.
+CANONICAL_CELLS = {"top": (0, 0), "front": (1, 0), "side": (1, 1)}
+GRID_COLUMNS = {1: 1, 2: 2, 3: 3, 4: 2, 5: 3}
+
+
+def table_cells(kinds: list[str]) -> list[tuple[int, int]]:
+    if sorted(kinds) == ["front", "side", "top"]:
+        return [CANONICAL_CELLS[kind] for kind in kinds]
+    return [divmod(index, GRID_COLUMNS[len(kinds)]) for index in range(len(kinds))]
+
+
 class TestLayout:
+    @given(
+        st.lists(st.sampled_from(NOISE_VIEWS), min_size=1, max_size=5),
+        st.integers(0, 30),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(["front", "top", "side"], 0, False)
+    @example(["front", "section"], 4, False)
+    @example(["top", "front", "side", "section", "top"], 3, True)
+    def test_views_share_their_column_and_row_placement_inside_the_margin(
+        self, catalog, kinds, seed, tilt
+    ):
+        model = generate(SynthSpec(seed=seed), catalog)
+        if tilt:
+            model = tilted(model, seed)
+        sheet = layout_sheet(annotate(render_views(model, kinds), model, catalog))
+        cells = table_cells(kinds)
+        for a, cell_a in zip(sheet.views, cells):
+            for b, cell_b in zip(sheet.views, cells):
+                if cell_a[1] == cell_b[1]:
+                    assert a.dx == b.dx
+                if cell_a[0] == cell_b[0]:
+                    assert a.dy == b.dy
+        lo, hi = MARGIN_PX - 1e-6, DEFAULT_CANVAS_PX - MARGIN_PX + 1e-6
+        for placed in sheet.views:
+            for seg in placed.view.segments:
+                for p in seg:
+                    x, y = sheet.to_px(placed, p)
+                    assert lo <= x <= hi and lo <= y <= hi
+
     def test_canonical_alignment(self, catalog, simple_model):
         views = render_views(simple_model, ["front", "top", "side"])
         sheet = layout_sheet(views)
