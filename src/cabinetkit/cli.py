@@ -123,11 +123,11 @@ def cmd_render(args) -> int:
     # Annotations are always computed so that layer selection never changes
     # the layout; --layers only controls which SVG groups are written.
     annotated = drawing.annotate(rendered, result.model, catalog)
-    if args.noise_seed is not None:
-        noise = drawing.NoiseSpec(
-            p_drop=args.p_drop, jitter_sigma=args.jitter, p_spurious=args.p_spurious
-        )
-        annotated = drawing.inject_noise(annotated, noise, args.noise_seed)
+    # The rates default to 0, which leaves the drawing unchanged.
+    noise = drawing.NoiseSpec(
+        p_drop=args.p_drop, jitter_sigma=args.jitter, p_spurious=args.p_spurious
+    )
+    annotated = drawing.inject_noise(annotated, noise, args.noise_seed)
     sheet = drawing.layout_sheet(annotated)
     layers = frozenset(l.strip() for l in args.layers.split(",") if l.strip())
     Path(args.output).write_text(drawing.to_svg(sheet, layers), encoding="utf-8")
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--views", default="front,top,side", help="comma-separated view kinds")
     p.add_argument("--layers", default="geometry,annotation", help="SVG groups to write")
-    p.add_argument("--noise-seed", type=int, default=None)
+    p.add_argument("--noise-seed", type=int, default=0)
     p.add_argument("--p-drop", type=float, default=0.0)
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--p-spurious", type=float, default=0.0)

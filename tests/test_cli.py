@@ -211,6 +211,24 @@ class TestRender:
         assert run("render", model_file, b, *flags) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        ["--p-drop", 0.9], ["--jitter", 50], ["--p-spurious", 0.5],
+        ["--p-drop", 0.9, "--jitter", 50, "--p-spurious", 0.5],
+    ])
+    def test_rates_without_a_seed_change_the_drawing(self, model_file, tmp_path, flags):
+        plain, noisy, seeded = tmp_path / "plain.svg", tmp_path / "noisy.svg", tmp_path / "seeded.svg"
+        assert run("render", model_file, plain) == 0
+        assert run("render", model_file, noisy, *flags) == 0
+        assert run("render", model_file, seeded, *flags, "--noise-seed", 0) == 0
+        assert noisy.read_bytes() != plain.read_bytes()
+        assert noisy.read_bytes() == seeded.read_bytes()
+
+    def test_a_seed_without_rates_leaves_the_drawing_plain(self, model_file, tmp_path):
+        plain, seeded = tmp_path / "plain.svg", tmp_path / "seeded.svg"
+        assert run("render", model_file, plain) == 0
+        assert run("render", model_file, seeded, "--noise-seed", 3) == 0
+        assert seeded.read_bytes() == plain.read_bytes()
+
     def test_geometry_only_layer(self, model_file, tmp_path):
         out = tmp_path / "geo.svg"
         assert run("render", model_file, out, "--layers", "geometry") == 0
@@ -511,8 +529,6 @@ class TestNumericOptions:
         out = tmp_path / "out"
         if command == "render":
             argv = ["render", model_file, out, f"{option}={value}"]
-            if option != "--noise-seed":  # the rates apply only to a noisy drawing
-                argv += ["--noise-seed", 1]
         elif command == "eval":
             corpus = tmp_path / "corpus"
             assert run("synth", "--count", 2, "--out", corpus) == 0
