@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, compress
+from operator import add
 
 import numpy as np
 
@@ -437,8 +439,8 @@ def layout_sheet(views: list[ViewDrawing]) -> Sheet:
     row_v0 = [min(ends) for ends in row_ends]
     widths = [max(ends) - h0 for ends, h0 in zip(col_ends, col_h0)]
     heights = [max(ends) - v0 for ends, v0 in zip(row_ends, row_v0)]
-    # `fsum` rounds once, so the totals do not depend on the Python version.
-    total_w, total_h = math.fsum(widths), math.fsum(heights)
+    # Summed left to right: `sum` rounds differently from Python 3.12 on.
+    total_w, total_h = reduce(add, widths), reduce(add, heights)
     scale = min(_fit(_room(cols - 1), total_w), _fit(_room(rows - 1), total_h))
     if not 0.0 < scale < math.inf:
         named = ", ".join(f"{kind} {extent!r}" for kind, extent in zip(kinds, extents))

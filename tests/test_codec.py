@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cabinetkit import (
@@ -307,3 +307,23 @@ def test_encode_equals_the_per_field_reference(catalog, data):
         assert format_commands(encode(model, catalog)) == expected
     calls = [mock.call("%d length(s) outside [0, %.0f] mm clamped", clamped, 4500.0)]
     assert warning.call_args_list == (calls if clamped else [])
+
+
+# A right-angle box decodes to the same quarter turn. Along each world axis
+# an end of its extent of length s moves by at most 2.25 mm (1.5 mm of
+# position, half of 1.5 mm of size), so the overlap of the two extents is at
+# least s - 2.25 mm and their union at most s + 2.25 mm. The IoU is at least
+# the product of these ratios, each above (s - 3) / (s + 3).
+@given(
+    st.tuples(*[st.floats(0.0, 4500.0, exclude_max=True)] * 3),
+    st.tuples(*[st.floats(3.0, 4500.0, exclude_min=True, exclude_max=True)] * 3),
+    st.sampled_from([0.0, 90.0, 180.0, 270.0]),
+)
+@settings(max_examples=300, deadline=None)
+@example((1.5, 2248.5, 4499.99), (4.5, 1000.0, 4499.0), 90.0)
+@example((0.0, 0.0, 0.0), (5.999, 5.999, 5.999), 0.0)
+def test_decoded_right_angle_box_keeps_a_size_bounded_iou(catalog, position, size, rotation):
+    box = OrientedBox(position, size, rotation)
+    model = CabinetModel((make_instance(catalog, "M-DOOR", box),))
+    decoded = decode(encode(model, catalog), catalog).instances[0].box
+    assert iou3d(box, decoded) >= math.prod((s - 3.0) / (s + 3.0) for s in size)

@@ -331,6 +331,12 @@ class TestLayout:
         with pytest.raises(ValueError, match=pattern):
             layout_sheet([view])
 
+    def test_views_whose_widths_overflow_together_raise(self):
+        """Each view is 1e308 mm wide; side by side they are wider than the float range."""
+        view = ViewDrawing("front", [((-5e307, 0.0), (5e307, 0.0)), ((0.0, 0.0), (0.0, 1.0))])
+        with pytest.raises(ValueError, match=r"leave no positive finite scale, got 0\.0: front"):
+            layout_sheet([view, view])
+
     def test_a_single_point_view_raises(self):
         view = ViewDrawing("front", [((1.0, 2.0), (1.0, 2.0))])
         with pytest.raises(ValueError, match=r"got inf: front \(1\.0, 2\.0, 1\.0, 2\.0\)$"):
